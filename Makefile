@@ -28,12 +28,14 @@ lint:
 verify-models:
 	$(GO) run ./cmd/pimflow -m=verify -n=all
 
-# Short local fuzz pass over the graph JSON loader (the CI gate runs the
-# seed corpus via go test; this explores further).
+# Short local fuzz passes over the graph JSON loader and the streaming
+# command-stream linter (the CI gate runs the seed corpora via go test;
+# this explores further).
 FUZZ_TIME ?= 20s
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime $(FUZZ_TIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz FuzzLintStream -fuzztime $(FUZZ_TIME) ./internal/verify
 
 # Full benchmark sweep: harness figures plus the in-package engine
 # benchmarks. Results are merged into $(BENCH_JSON) under $(BENCH_LABEL)
@@ -43,7 +45,7 @@ BENCH_JSON ?= BENCH_PR10.json
 BENCH_LABEL ?= after
 
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/pim ./internal/codegen ./internal/serve ./internal/load | \
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/pim ./internal/codegen ./internal/verify ./internal/serve ./internal/load | \
 		$(GO) run ./cmd/pimflow-bench -label $(BENCH_LABEL) -out $(BENCH_JSON)
 
 # Trace-driven serving scenarios (Poisson / diurnal / bursty) replayed

@@ -22,6 +22,7 @@ import (
 
 	"pimflow/internal/codegen"
 	"pimflow/internal/pim"
+	"pimflow/internal/verify"
 )
 
 func main() {
@@ -62,7 +63,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pimflow-trace:", err)
 		os.Exit(1)
 	}
-	if err := tr.Validate(cfg); err != nil {
+	if err := verify.AsError(verify.Workload(w, cfg, opts)); err != nil {
 		fmt.Fprintln(os.Stderr, "pimflow-trace: invalid trace:", err)
 		os.Exit(1)
 	}

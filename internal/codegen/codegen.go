@@ -14,9 +14,9 @@
 //
 // Commands are produced through the pim.Sink interface: Stream fuses
 // generation into whatever consumes the commands, so timing probes
-// (TimeWorkload) simulate the stream without ever materializing it, while
-// Generate materializes a pim.Trace for the consumers that genuinely need
-// one (dump listings, the verify linter, event recording).
+// (TimeWorkload) and the verify linter never materialize a trace, while
+// Generate builds a pim.Trace for the consumers that need the command
+// list itself (dump listings, event recording).
 package codegen
 
 import (

@@ -211,30 +211,6 @@ func TestGenerateRejectsBadInput(t *testing.T) {
 	}
 }
 
-// Every generated trace must satisfy the structural invariants checked by
-// pim.Trace.Validate, for any workload and option combination.
-func TestPropertyGeneratedTracesValidate(t *testing.T) {
-	f := func(mRaw, kRaw, nRaw uint16, granRaw, segRaw, bufsRaw uint8) bool {
-		cfg := pim.DefaultConfig()
-		cfg.GlobalBufs = []int{1, 2, 4}[int(bufsRaw)%3]
-		w := Workload{
-			M:        int(mRaw%80) + 1,
-			K:        int(kRaw%4000) + 1,
-			N:        int(nRaw%300) + 1,
-			Segments: int(segRaw%5) + 1,
-		}
-		opts := Opts{Granularity: Granularity(granRaw % 3), StridedGWrite: segRaw%2 == 0}
-		tr, err := Generate(w, cfg, opts)
-		if err != nil {
-			return false
-		}
-		return tr.Validate(cfg) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // A K larger than the global buffer must be tiled, not rejected.
 func TestLargeKTiles(t *testing.T) {
 	cfg := pim.DefaultConfig() // buffer holds 2048 fp16

@@ -3,6 +3,7 @@ package codegen_test
 import (
 	"fmt"
 	"testing"
+	"testing/quick"
 
 	"pimflow/internal/codegen"
 	"pimflow/internal/pim"
@@ -53,5 +54,30 @@ func TestGeneratedTracesPassLinter(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestPropertyGeneratedTracesValidate extends the protocol lint to random
+// workloads and option combinations: the materialized trace and the
+// streamed command sequence must both lint clean and cover the workload.
+func TestPropertyGeneratedTracesValidate(t *testing.T) {
+	f := func(mRaw, kRaw, nRaw uint16, granRaw, segRaw, bufsRaw uint8) bool {
+		cfg := pim.DefaultConfig()
+		cfg.GlobalBufs = []int{1, 2, 4}[int(bufsRaw)%3]
+		w := codegen.Workload{
+			M:        int(mRaw%80) + 1,
+			K:        int(kRaw%4000) + 1,
+			N:        int(nRaw%300) + 1,
+			Segments: int(segRaw%5) + 1,
+		}
+		opts := codegen.Opts{Granularity: codegen.Granularity(granRaw % 3), StridedGWrite: segRaw%2 == 0}
+		tr, err := codegen.Generate(w, cfg, opts)
+		if err != nil {
+			return false
+		}
+		return len(verify.Trace(tr, cfg)) == 0 && len(verify.Workload(w, cfg, opts)) == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
 	}
 }

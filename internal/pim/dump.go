@@ -34,58 +34,6 @@ func (t *Trace) Dump(w io.Writer) error {
 	return nil
 }
 
-// Validate checks structural invariants of a trace that any correct
-// command generator must uphold:
-//
-//   - every COMP is preceded by at least one G_ACT (a row must be open)
-//     and at least one GWRITE (the buffer must hold data) on its channel;
-//   - COMP column counts never exceed the column I/Os one activation
-//     exposes times the number of global buffers in flight;
-//   - no channel index repeats and all are within the configuration.
-func (t *Trace) Validate(cfg Config) error {
-	if len(t.Channels) == 0 {
-		return fmt.Errorf("pim: empty trace")
-	}
-	seen := map[int]bool{}
-	for _, ch := range t.Channels {
-		if ch.Channel < 0 || ch.Channel >= cfg.Channels {
-			return fmt.Errorf("pim: channel %d outside config (%d channels)", ch.Channel, cfg.Channels)
-		}
-		if seen[ch.Channel] {
-			return fmt.Errorf("pim: duplicate channel %d", ch.Channel)
-		}
-		seen[ch.Channel] = true
-		rowOpen, bufLoaded := false, false
-		for i, cmd := range ch.Commands {
-			switch {
-			case cmd.Kind.IsGWrite():
-				if cmd.Bursts <= 0 {
-					return fmt.Errorf("pim: channel %d cmd %d: GWRITE with %d bursts", ch.Channel, i, cmd.Bursts)
-				}
-				bufLoaded = true
-			case cmd.Kind == KindGAct:
-				rowOpen = true
-			case cmd.Kind == KindComp:
-				if !rowOpen {
-					return fmt.Errorf("pim: channel %d cmd %d: COMP before any G_ACT", ch.Channel, i)
-				}
-				if !bufLoaded {
-					return fmt.Errorf("pim: channel %d cmd %d: COMP before any GWRITE", ch.Channel, i)
-				}
-				if cmd.Cols <= 0 || cmd.Cols > cfg.ColumnIOsPerRow {
-					return fmt.Errorf("pim: channel %d cmd %d: COMP cols %d outside (0,%d]",
-						ch.Channel, i, cmd.Cols, cfg.ColumnIOsPerRow)
-				}
-			case cmd.Kind == KindReadRes:
-				if cmd.Bursts <= 0 {
-					return fmt.Errorf("pim: channel %d cmd %d: READRES with %d bursts", ch.Channel, i, cmd.Bursts)
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // Summary returns a one-line description of the trace.
 func (t *Trace) Summary() string {
 	var c Counts

@@ -14,51 +14,6 @@ func validTrace() *Trace {
 	}}}}
 }
 
-func TestTraceValidateAccepts(t *testing.T) {
-	if err := validTrace().Validate(DefaultConfig()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTraceValidateRejects(t *testing.T) {
-	cfg := DefaultConfig()
-	cases := map[string]*Trace{
-		"empty": {},
-		"bad channel": {Channels: []ChannelTrace{{Channel: 99, Commands: []Command{
-			{Kind: KindGWrite, Bursts: 1},
-		}}}},
-		"dup channel": {Channels: []ChannelTrace{
-			{Channel: 0, Commands: []Command{{Kind: KindGWrite, Bursts: 1}}},
-			{Channel: 0, Commands: []Command{{Kind: KindGWrite, Bursts: 1}}},
-		}},
-		"comp before gact": {Channels: []ChannelTrace{{Channel: 0, Commands: []Command{
-			{Kind: KindGWrite, Bursts: 1},
-			{Kind: KindComp, Cols: 1},
-		}}}},
-		"comp before gwrite": {Channels: []ChannelTrace{{Channel: 0, Commands: []Command{
-			{Kind: KindGAct},
-			{Kind: KindComp, Cols: 1},
-		}}}},
-		"comp too wide": {Channels: []ChannelTrace{{Channel: 0, Commands: []Command{
-			{Kind: KindGWrite, Bursts: 1},
-			{Kind: KindGAct},
-			{Kind: KindComp, Cols: 999},
-		}}}},
-		"zero-burst gwrite": {Channels: []ChannelTrace{{Channel: 0, Commands: []Command{
-			{Kind: KindGWrite, Bursts: 0},
-		}}}},
-		"zero-burst readres": {Channels: []ChannelTrace{{Channel: 0, Commands: []Command{
-			{Kind: KindGWrite, Bursts: 1},
-			{Kind: KindReadRes, Bursts: 0},
-		}}}},
-	}
-	for name, tr := range cases {
-		if err := tr.Validate(cfg); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
 func TestTraceDumpAndSummary(t *testing.T) {
 	tr := validTrace()
 	var b strings.Builder

@@ -14,9 +14,9 @@ type Sink interface {
 	Emit(cmd Command)
 }
 
-// TraceSink materializes the stream into a Trace — the adapter used
-// wherever a command trace is genuinely consumed (dump listings, the
-// verify.Trace linter, Chrome-trace event recording).
+// TraceSink materializes the stream into a Trace for dump listings and
+// Chrome-trace event recording; the verify linter is a Sink of its own
+// and never builds a trace.
 type TraceSink struct {
 	Trace Trace
 }

@@ -559,7 +559,7 @@ func (s *Server) process(batch []*item, execute bool) {
 		}
 	}
 
-	var certed []*InferResponse // member responses for the schedule certificate
+	resps := make([]*InferResponse, len(batch))
 	for i, it := range batch {
 		arrival := arrivalOf(it)
 		endCycle := lease.Start + solo + lm.InitInterval*int64(i)
@@ -592,17 +592,19 @@ func (s *Server) process(batch []*item, execute bool) {
 		}
 		s.cfg.Metrics.Observe("serve.latency_cycles", float64(resp.LatencyCycles))
 		s.cfg.Metrics.Observe("serve.queue_cycles", float64(resp.QueueCycles))
-		if s.cert != nil {
-			certed = append(certed, resp)
-		}
-		it.finish(resp, nil)
+		resps[i] = resp
 	}
 	if s.cert != nil {
 		// Record before Release so the lease's frontier stamp never
 		// precedes the lease itself in the certificate.
-		s.cert.batch(lease, lm, certed)
+		s.cert.batch(lease, lm, resps)
 	}
+	// Release before replying: a caller that sees its response also sees
+	// its lease certified and the completion frontier advanced past it.
 	s.sched.Release(lease)
+	for i, it := range batch {
+		it.finish(resps[i], nil)
+	}
 	if obs.Enabled(slog.LevelDebug) {
 		obs.L().Debug("serve: batch served",
 			"model", lm.Spec.Name, "batch", len(batch),

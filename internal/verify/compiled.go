@@ -10,10 +10,10 @@ import (
 
 // Compiled statically checks a transformed, ready-to-execute graph end to
 // end: the graph-IR invariants first, then every offloaded layer's PIM
-// command stream against the §4.1 protocol state machine and the
-// workload-coverage oracle. It returns all violations, empty when the
-// model is clean; nothing is simulated. The serving layer's model registry
-// and the public CompiledModel.Verify both gate on this sweep.
+// command stream, linted as codegen streams it, against the §4.1 protocol
+// state machine and the workload-coverage oracle. It returns all
+// violations, empty when the model is clean; nothing is simulated and no
+// trace is built. The model registry and CompiledModel.Verify gate on it.
 func Compiled(g *graph.Graph, pcfg pim.Config, copts codegen.Opts) []Diagnostic {
 	diags := Graph(g)
 	for _, n := range g.Nodes {

@@ -35,17 +35,18 @@ func GraphWith(g *graph.Graph, c Checks) []Diagnostic {
 
 	// Phase 2: re-infer shapes on a clone and compare. An inference error
 	// poisons every downstream shape, so stop on it too.
-	shapeDiags, inferOK := checkShapes(g)
+	shapeDiags, inferred := checkShapes(g)
 	diags = append(diags, shapeDiags...)
-	if !inferOK {
+	if inferred == nil {
 		return diags
 	}
 
-	// Phase 3: transform soundness, gated on execution annotations so
-	// untransformed graphs (including everything ReadJSON can produce —
-	// annotations are never serialized) are exempt by construction.
+	// Phase 3: transform soundness and device placement, gated on
+	// execution annotations (never serialized, so everything ReadJSON can
+	// produce is exempt by construction).
 	diags = append(diags, checkMDDP(g)...)
 	diags = append(diags, checkPipeline(g)...)
+	diags = append(diags, checkDevice(inferred)...)
 
 	if c.RequireLive {
 		diags = append(diags, checkLiveness(g)...)
@@ -175,12 +176,12 @@ func checkTopology(g *graph.Graph) []Diagnostic {
 }
 
 // checkShapes re-runs shape inference on a clone and reports declared
-// shapes that disagree with the inferred ones. The bool result reports
-// whether inference itself succeeded.
-func checkShapes(g *graph.Graph) ([]Diagnostic, bool) {
+// shapes that disagree with the inferred ones. It also returns the
+// inferred clone, or nil when inference itself failed.
+func checkShapes(g *graph.Graph) ([]Diagnostic, *graph.Graph) {
 	clone := g.Clone()
 	if err := clone.InferShapes(); err != nil {
-		return []Diagnostic{graphDiag(RuleGraphInfer, "", "", err.Error())}, false
+		return []Diagnostic{graphDiag(RuleGraphInfer, "", "", err.Error())}, nil
 	}
 	var diags []Diagnostic
 	for _, name := range g.TensorNames() {
@@ -194,7 +195,20 @@ func checkShapes(g *graph.Graph) ([]Diagnostic, bool) {
 				fmt.Sprintf("declared shape %v, inference gives %v", want.Shape, got.Shape)))
 		}
 	}
-	return diags, true
+	return diags, clone
+}
+
+// checkDevice applies the runtime's offloadability test to every PIM
+// annotation, over inferred shapes so depthwise convs are always seen.
+func checkDevice(g *graph.Graph) []Diagnostic {
+	var diags []Diagnostic
+	for _, n := range g.Nodes {
+		if n.Exec.Device == graph.DevicePIM && !g.IsPIMCandidate(n) {
+			diags = append(diags, graphDiag(RuleGraphDevice, n.Name, "",
+				fmt.Sprintf("%s node annotated for PIM is not PIM-offloadable", n.Op)))
+		}
+	}
+	return diags
 }
 
 // checkMDDP validates every MD-DP split: the two halves pair through one

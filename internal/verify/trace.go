@@ -7,8 +7,16 @@ import (
 	"pimflow/internal/pim"
 )
 
-// Trace lints a PIM command trace against the Newton/AiM protocol
-// (paper §4.1), walking each channel's stream as a state machine:
+// Trace lints a hand-built PIM command trace by replaying its channels
+// through the streaming linter Workload uses, so there is one state
+// machine. Each violation carries the channel, command index, and kind.
+func Trace(tr *pim.Trace, cfg pim.Config) []Diagnostic {
+	return replay(tr, cfg).finish()
+}
+
+// linter is a pim.Sink that lints a command stream against the Newton/AiM
+// protocol (paper §4.1) as it is produced, one channel state machine at a
+// time:
 //
 //   - a GWRITE variant must fill the global buffer before any COMP
 //     consumes it, and must fit the channel's buffer capacity;
@@ -19,99 +27,136 @@ import (
 //     the buffer was last filled, and every COMP must eventually be
 //     drained before the channel ends.
 //
-// Each violation carries the channel, command index, and command kind.
-func Trace(tr *pim.Trace, cfg pim.Config) []Diagnostic {
-	if tr == nil || len(tr.Channels) == 0 {
+// It also tallies the volumes TR-COVER compares against the workload
+// oracle. Nothing is buffered, so it allocates O(channels) however long
+// the stream is. It walks every command on purpose: the verifier stays
+// independent of the timing engine's steady-state fast-forward.
+type linter struct {
+	cfg   pim.Config
+	diags []Diagnostic
+	seen  map[int]bool // channel ids begun so far
+	got   pim.Counts   // GWBursts, ColIOs, ReadRes and RRBursts only
+
+	ch             int  // channel in flight; the fields below are its state
+	i              int  // index of the next command within the channel
+	bufCapBursts   int  // one GWRITE may fill every buffer, in whole bursts
+	bufFilled      bool // some GWRITE variant has loaded the global buffer
+	rowOpen        bool // some G_ACT has activated a weight row
+	compsSinceGW   int  // COMP commands since the last buffer (re)fill
+	undrainedComps int  // COMP commands since the last READRES
+	lastUndrained  int  // index of the newest undrained COMP
+}
+
+// replay streams a stored trace's channels through a fresh linter.
+func replay(tr *pim.Trace, cfg pim.Config) *linter {
+	l := &linter{cfg: cfg, seen: map[int]bool{}}
+	if tr != nil {
+		for _, ct := range tr.Channels {
+			l.BeginChannel(ct.Channel)
+			for _, cmd := range ct.Commands {
+				l.Emit(cmd)
+			}
+		}
+	}
+	return l
+}
+
+// BeginChannel closes the channel in flight and opens channel ch.
+func (l *linter) BeginChannel(ch int) {
+	l.endChannel()
+	l.ch, l.i = ch, 0
+	if ch < 0 || ch >= l.cfg.Channels {
+		l.bad(RuleTraceChannel, -1, 0, fmt.Sprintf("channel id outside configured 0..%d", l.cfg.Channels-1))
+	}
+	if l.seen[ch] {
+		l.bad(RuleTraceChannelDup, -1, 0, "channel appears more than once in the trace")
+	}
+	l.seen[ch] = true
+	l.bufCapBursts = l.cfg.GlobalBufs * ceilDiv(l.cfg.GlobalBufBytes, l.cfg.BurstBytes)
+	l.bufFilled, l.rowOpen = false, false
+	l.compsSinceGW, l.undrainedComps, l.lastUndrained = 0, 0, -1
+}
+
+// Emit advances the channel's state machine by one command.
+func (l *linter) Emit(cmd pim.Command) {
+	i := l.i
+	l.i++
+	switch {
+	case cmd.Kind == pim.KindComp:
+		if !l.bufFilled {
+			l.bad(RuleTraceCompNoBuf, i, cmd.Kind, "COMP before any GWRITE filled the global buffer")
+		}
+		if !l.rowOpen {
+			l.bad(RuleTraceCompNoAct, i, cmd.Kind, "COMP before any G_ACT opened a weight row")
+		}
+		if cmd.Cols < 1 || cmd.Cols > l.cfg.ColumnIOsPerRow {
+			l.bad(RuleTraceCompCols, i, cmd.Kind, fmt.Sprintf(
+				"COMP streams %d column I/Os, want 1..%d", cmd.Cols, l.cfg.ColumnIOsPerRow))
+		}
+		l.compsSinceGW++
+		l.undrainedComps++
+		l.lastUndrained = i
+		l.got.ColIOs += int64(cmd.Cols)
+	case cmd.Kind == pim.KindGAct:
+		l.rowOpen = true
+	case cmd.Kind == pim.KindReadRes:
+		if l.compsSinceGW == 0 {
+			l.bad(RuleTraceRRNoComp, i, cmd.Kind, "READRES with no COMP accumulated since the last buffer fill")
+		}
+		if cmd.Bursts < 1 {
+			l.bad(RuleTraceBursts, i, cmd.Kind, fmt.Sprintf("READRES drains %d bursts, want >= 1", cmd.Bursts))
+		}
+		l.undrainedComps = 0
+		l.got.ReadRes++
+		l.got.RRBursts += int64(cmd.Bursts)
+	case cmd.Kind.IsGWrite():
+		if cmd.Kind == pim.KindGWrite2 && l.cfg.GlobalBufs < 2 {
+			l.bad(RuleTraceGWBufs, i, cmd.Kind, fmt.Sprintf("GWRITE_2 with %d configured buffer(s)", l.cfg.GlobalBufs))
+		}
+		if cmd.Kind == pim.KindGWrite4 && l.cfg.GlobalBufs < 4 {
+			l.bad(RuleTraceGWBufs, i, cmd.Kind, fmt.Sprintf("GWRITE_4 with %d configured buffer(s)", l.cfg.GlobalBufs))
+		}
+		if cmd.Bursts < 1 {
+			l.bad(RuleTraceBursts, i, cmd.Kind, fmt.Sprintf("GWRITE moves %d bursts, want >= 1", cmd.Bursts))
+		} else if cmd.Bursts > l.bufCapBursts {
+			l.bad(RuleTraceGWOverflow, i, cmd.Kind, fmt.Sprintf(
+				"GWRITE of %d bursts overflows %d buffer(s) of %d bytes (%d bursts)",
+				cmd.Bursts, l.cfg.GlobalBufs, l.cfg.GlobalBufBytes, l.bufCapBursts))
+		}
+		l.bufFilled = true
+		l.compsSinceGW = 0
+		l.got.GWBursts += int64(cmd.Bursts)
+	default:
+		l.bad(RuleTraceKind, i, cmd.Kind, fmt.Sprintf("unknown command kind %d", uint8(cmd.Kind)))
+	}
+}
+
+// bad records a violation on the channel in flight at command index i,
+// or on the channel itself when i is -1.
+func (l *linter) bad(rule string, i int, kind pim.Kind, msg string) {
+	d := Diagnostic{Rule: rule, Channel: l.ch, Index: i, Msg: msg}
+	if i >= 0 {
+		d.Command = kind.String()
+	}
+	l.diags = append(l.diags, d)
+}
+
+// endChannel reports COMP results the channel in flight never drained.
+func (l *linter) endChannel() {
+	if l.undrainedComps > 0 {
+		l.bad(RuleTraceDrain, l.lastUndrained, pim.KindComp, fmt.Sprintf(
+			"channel ends with %d COMP command(s) never drained by a READRES", l.undrainedComps))
+	}
+}
+
+// finish closes the stream and returns its protocol diagnostics.
+func (l *linter) finish() []Diagnostic {
+	l.endChannel()
+	if len(l.seen) == 0 {
 		return []Diagnostic{{Rule: RuleTraceEmpty, Channel: -1, Index: -1,
 			Msg: "trace has no channel streams"}}
 	}
-	var diags []Diagnostic
-	seen := map[int]bool{}
-	for _, ct := range tr.Channels {
-		if ct.Channel < 0 || ct.Channel >= cfg.Channels {
-			diags = append(diags, Diagnostic{Rule: RuleTraceChannel, Channel: ct.Channel, Index: -1,
-				Msg: fmt.Sprintf("channel id outside configured 0..%d", cfg.Channels-1)})
-		}
-		if seen[ct.Channel] {
-			diags = append(diags, Diagnostic{Rule: RuleTraceChannelDup, Channel: ct.Channel, Index: -1,
-				Msg: "channel appears more than once in the trace"})
-		}
-		seen[ct.Channel] = true
-		diags = append(diags, lintChannel(ct, cfg)...)
-	}
-	return diags
-}
-
-// lintChannel runs the per-channel protocol state machine.
-func lintChannel(ct pim.ChannelTrace, cfg pim.Config) []Diagnostic {
-	var diags []Diagnostic
-	bad := func(rule string, i int, cmd pim.Command, msg string) {
-		diags = append(diags, Diagnostic{
-			Rule: rule, Channel: ct.Channel, Index: i, Command: cmd.Kind.String(), Msg: msg,
-		})
-	}
-	// One GWRITE may fill every configured buffer, each transfer rounded
-	// up to whole bursts.
-	bufCapBursts := cfg.GlobalBufs * ceilDiv(cfg.GlobalBufBytes, cfg.BurstBytes)
-
-	bufFilled := false  // some GWRITE variant has loaded the global buffer
-	rowOpen := false    // some G_ACT has activated a weight row
-	compsSinceGW := 0   // COMP commands since the last buffer (re)fill
-	undrainedComps := 0 // COMP commands since the last READRES
-	lastUndrained := -1 // index of the newest undrained COMP
-	for i, cmd := range ct.Commands {
-		switch {
-		case cmd.Kind.IsGWrite():
-			if cmd.Kind == pim.KindGWrite2 && cfg.GlobalBufs < 2 {
-				bad(RuleTraceGWBufs, i, cmd, fmt.Sprintf("GWRITE_2 with %d configured buffer(s)", cfg.GlobalBufs))
-			}
-			if cmd.Kind == pim.KindGWrite4 && cfg.GlobalBufs < 4 {
-				bad(RuleTraceGWBufs, i, cmd, fmt.Sprintf("GWRITE_4 with %d configured buffer(s)", cfg.GlobalBufs))
-			}
-			if cmd.Bursts < 1 {
-				bad(RuleTraceBursts, i, cmd, fmt.Sprintf("GWRITE moves %d bursts, want >= 1", cmd.Bursts))
-			} else if cmd.Bursts > bufCapBursts {
-				bad(RuleTraceGWOverflow, i, cmd, fmt.Sprintf(
-					"GWRITE of %d bursts overflows %d buffer(s) of %d bytes (%d bursts)",
-					cmd.Bursts, cfg.GlobalBufs, cfg.GlobalBufBytes, bufCapBursts))
-			}
-			bufFilled = true
-			compsSinceGW = 0
-		case cmd.Kind == pim.KindGAct:
-			rowOpen = true
-		case cmd.Kind == pim.KindComp:
-			if !bufFilled {
-				bad(RuleTraceCompNoBuf, i, cmd, "COMP before any GWRITE filled the global buffer")
-			}
-			if !rowOpen {
-				bad(RuleTraceCompNoAct, i, cmd, "COMP before any G_ACT opened a weight row")
-			}
-			if cmd.Cols < 1 || cmd.Cols > cfg.ColumnIOsPerRow {
-				bad(RuleTraceCompCols, i, cmd, fmt.Sprintf(
-					"COMP streams %d column I/Os, want 1..%d", cmd.Cols, cfg.ColumnIOsPerRow))
-			}
-			compsSinceGW++
-			undrainedComps++
-			lastUndrained = i
-		case cmd.Kind == pim.KindReadRes:
-			if compsSinceGW == 0 {
-				bad(RuleTraceRRNoComp, i, cmd, "READRES with no COMP accumulated since the last buffer fill")
-			}
-			if cmd.Bursts < 1 {
-				bad(RuleTraceBursts, i, cmd, fmt.Sprintf("READRES drains %d bursts, want >= 1", cmd.Bursts))
-			}
-			undrainedComps = 0
-		default:
-			bad(RuleTraceKind, i, cmd, fmt.Sprintf("unknown command kind %d", uint8(cmd.Kind)))
-		}
-	}
-	if undrainedComps > 0 {
-		diags = append(diags, Diagnostic{
-			Rule: RuleTraceDrain, Channel: ct.Channel, Index: lastUndrained, Command: pim.KindComp.String(),
-			Msg: fmt.Sprintf("channel ends with %d COMP command(s) never drained by a READRES", undrainedComps),
-		})
-	}
-	return diags
+	return l.diags
 }
 
 // totals is the workload-coverage oracle: the command volumes any correct
@@ -145,7 +190,7 @@ func expectedTotals(w codegen.Workload, cfg pim.Config, opts codegen.Opts) total
 		kChunkLen = w.K
 	}
 
-	var nKChunks, colIOsPerVec int64
+	var nKChunks, colIOsPerVec, gwPerVec int64
 	for ks := 0; ks < w.K; ks += kChunkLen {
 		kl := kChunkLen
 		if ks+kl > w.K {
@@ -153,6 +198,7 @@ func expectedTotals(w codegen.Workload, cfg pim.Config, opts codegen.Opts) total
 		}
 		nKChunks++
 		colIOsPerVec += int64(ceilDiv(kl, elemsPerColIO))
+		gwPerVec += int64(ceilDiv(kl*2, cfg.BurstBytes))
 	}
 
 	nOutGroups := ceilDiv(w.N, lanes)
@@ -172,47 +218,26 @@ func expectedTotals(w codegen.Workload, cfg pim.Config, opts codegen.Opts) total
 		perVecRRBursts += rrBurstsOf(ol)
 	}
 
-	var gwMin int64
-	for vg := 0; vg < ceilDiv(w.M, nb); vg++ {
-		nv := nb
-		if (vg+1)*nb > w.M {
-			nv = w.M - vg*nb
-		}
-		for ks := 0; ks < w.K; ks += kChunkLen {
-			kl := kChunkLen
-			if ks+kl > w.K {
-				kl = w.K - ks
-			}
-			gwMin += int64(nv * ceilDiv(kl*2, cfg.BurstBytes))
-		}
-	}
-
 	return totals{
 		colIOs:   int64(w.M) * int64(nOutGroups) * colIOsPerVec,
 		readRes:  int64(w.M) * int64(nOutGroups) * nKChunks,
 		rrBursts: int64(w.M) * nKChunks * perVecRRBursts,
-		gwMin:    gwMin,
+		gwMin:    int64(w.M) * gwPerVec,
 	}
 }
 
-// Workload generates the command trace for one PIM workload and verifies
-// it end to end: the per-channel protocol rules (Trace) plus workload
-// coverage (TR-COVER) — the distributed command volumes must add up to
-// what the workload requires, computed by an independent oracle. Grouped
-// workloads verify one group's trace; the groups are identical.
+// Workload lints one PIM workload's command stream as codegen.Stream
+// produces it, with no trace built: the per-channel protocol rules plus
+// TR-COVER, whose required volumes come from an independent oracle.
+// Grouped workloads verify one group's stream; the groups are identical.
 func Workload(w codegen.Workload, cfg pim.Config, opts codegen.Opts) []Diagnostic {
 	w.Groups = 0
-	tr, err := codegen.Generate(w, cfg, opts)
-	if err != nil {
+	l := &linter{cfg: cfg, seen: map[int]bool{}}
+	if err := codegen.Stream(w, cfg, opts, l); err != nil {
 		return []Diagnostic{{Rule: RuleTraceCover, Channel: -1, Index: -1,
 			Msg: fmt.Sprintf("trace generation failed: %v", err)}}
 	}
-	diags := Trace(tr, cfg)
-
-	var got pim.Counts
-	for _, ct := range tr.Channels {
-		got.Add(pim.CountOf(ct))
-	}
+	diags, got := l.finish(), l.got
 	want := expectedTotals(w, cfg, opts)
 	cover := func(msg string) {
 		diags = append(diags, Diagnostic{Rule: RuleTraceCover, Channel: -1, Index: -1, Msg: msg})

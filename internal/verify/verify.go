@@ -54,6 +54,7 @@ const (
 	RuleGraphPipeHint      = "GR-PIPE-HINT"      // invalid or inconsistent pipeline stage/part hints
 	RuleGraphPipeParts     = "GR-PIPE-PARTS"     // pipeline group missing stage chunks
 	RuleGraphPipeOrder     = "GR-PIPE-ORDER"     // pipeline chunk consumes a later chunk
+	RuleGraphDevice        = "GR-DEVICE"         // node annotated for PIM cannot be offloaded
 	RuleGraphDead          = "GR-DEAD"           // dead node (post-DCE invariant)
 )
 
@@ -104,6 +105,7 @@ func Rules() []Rule {
 		{RuleGraphPipeHint, "pipeline hints are well-formed and consistent within a group"},
 		{RuleGraphPipeParts, "every pipeline stage contributes all of its chunks"},
 		{RuleGraphPipeOrder, "pipeline chunk (s, p) only consumes chunks (s' < s, p' <= p)"},
+		{RuleGraphDevice, "every node annotated for PIM is PIM-offloadable (a Gemm or a non-depthwise Conv)"},
 		{RuleGraphDead, "no dead nodes survive dead-code elimination"},
 		{RuleTraceEmpty, "a PIM trace has at least one channel stream"},
 		{RuleTraceChannel, "channel ids lie inside the configured channel count"},

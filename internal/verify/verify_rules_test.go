@@ -219,6 +219,11 @@ var ruleCases = map[string]func(t *testing.T) []verify.Diagnostic{
 		g.MarkOutput("y")
 		return verify.Graph(g)
 	},
+	verify.RuleGraphDevice: func(t *testing.T) []verify.Diagnostic {
+		g := reluGraph()
+		g.Nodes[0].Exec = graph.ExecHint{Device: graph.DevicePIM}
+		return verify.Graph(g)
+	},
 	verify.RuleGraphDead: func(t *testing.T) []verify.Diagnostic {
 		g := reluGraph()
 		g.AddNode(&graph.Node{Name: "dead", Op: graph.OpRelu,
@@ -226,60 +231,6 @@ var ruleCases = map[string]func(t *testing.T) []verify.Diagnostic{
 		return verify.GraphWith(g, verify.Checks{RequireLive: true})
 	},
 
-	verify.RuleTraceEmpty: func(t *testing.T) []verify.Diagnostic {
-		return verify.Trace(&pim.Trace{}, pim.DefaultConfig())
-	},
-	verify.RuleTraceChannel: func(t *testing.T) []verify.Diagnostic {
-		tr := &pim.Trace{Channels: []pim.ChannelTrace{{Channel: 99}}}
-		return verify.Trace(tr, pim.DefaultConfig())
-	},
-	verify.RuleTraceChannelDup: func(t *testing.T) []verify.Diagnostic {
-		tr := &pim.Trace{Channels: []pim.ChannelTrace{{Channel: 0}, {Channel: 0}}}
-		return verify.Trace(tr, pim.DefaultConfig())
-	},
-	verify.RuleTraceKind: func(t *testing.T) []verify.Diagnostic {
-		return verify.Trace(channelOf(pim.Command{Kind: pim.Kind(99)}), pim.DefaultConfig())
-	},
-	verify.RuleTraceGWBufs: func(t *testing.T) []verify.Diagnostic {
-		// GWRITE_4 against the single-buffer Newton baseline.
-		tr := channelOf(pim.Command{Kind: pim.KindGWrite4, Bursts: 4}, gact, comp, readres)
-		return verify.Trace(tr, pim.NewtonConfig())
-	},
-	verify.RuleTraceGWOverflow: func(t *testing.T) []verify.Diagnostic {
-		// The buffer-overflow malformation: one GWRITE moving more bursts
-		// than every global buffer together can hold.
-		cfg := pim.DefaultConfig()
-		cap := cfg.GlobalBufs * ((cfg.GlobalBufBytes + cfg.BurstBytes - 1) / cfg.BurstBytes)
-		tr := channelOf(pim.Command{Kind: pim.KindGWrite, Bursts: cap + 1}, gact, comp, readres)
-		return verify.Trace(tr, cfg)
-	},
-	verify.RuleTraceBursts: func(t *testing.T) []verify.Diagnostic {
-		tr := channelOf(pim.Command{Kind: pim.KindGWrite, Bursts: 0}, gact, comp, readres)
-		return verify.Trace(tr, pim.DefaultConfig())
-	},
-	verify.RuleTraceCompNoBuf: func(t *testing.T) []verify.Diagnostic {
-		// The COMP-before-GWRITE malformation.
-		tr := channelOf(gact, comp, gwrite, comp, readres)
-		return verify.Trace(tr, pim.DefaultConfig())
-	},
-	verify.RuleTraceCompNoAct: func(t *testing.T) []verify.Diagnostic {
-		tr := channelOf(gwrite, comp, readres)
-		return verify.Trace(tr, pim.DefaultConfig())
-	},
-	verify.RuleTraceCompCols: func(t *testing.T) []verify.Diagnostic {
-		cfg := pim.DefaultConfig()
-		tr := channelOf(gwrite, gact,
-			pim.Command{Kind: pim.KindComp, Cols: cfg.ColumnIOsPerRow + 1}, readres)
-		return verify.Trace(tr, cfg)
-	},
-	verify.RuleTraceRRNoComp: func(t *testing.T) []verify.Diagnostic {
-		tr := channelOf(gwrite, gact, readres)
-		return verify.Trace(tr, pim.DefaultConfig())
-	},
-	verify.RuleTraceDrain: func(t *testing.T) []verify.Diagnostic {
-		tr := channelOf(gwrite, gact, comp)
-		return verify.Trace(tr, pim.DefaultConfig())
-	},
 	verify.RuleTraceCover: func(t *testing.T) []verify.Diagnostic {
 		// An unloadable workload: generation fails, so nothing covers it.
 		return verify.Workload(codegen.Workload{M: 0, K: 16, N: 16},
@@ -349,6 +300,66 @@ var ruleCases = map[string]func(t *testing.T) []verify.Diagnostic{
 		c.Total = 10 + 12 + 30 // all singles; the span would save 7
 		return verify.PlanSearch(c)
 	},
+}
+
+// traceRuleCases holds the hand-built trace that trips each per-channel
+// TR-* rule, with the configuration to lint it against. init adds them to
+// ruleCases; TestTraceRuleCasesMatchReference replays the same traces
+// through the materialized reference linter.
+var traceRuleCases = map[string]func() (*pim.Trace, pim.Config){
+	verify.RuleTraceEmpty: func() (*pim.Trace, pim.Config) {
+		return &pim.Trace{}, pim.DefaultConfig()
+	},
+	verify.RuleTraceChannel: func() (*pim.Trace, pim.Config) {
+		return &pim.Trace{Channels: []pim.ChannelTrace{{Channel: 99}}}, pim.DefaultConfig()
+	},
+	verify.RuleTraceChannelDup: func() (*pim.Trace, pim.Config) {
+		return &pim.Trace{Channels: []pim.ChannelTrace{{Channel: 0}, {Channel: 0}}}, pim.DefaultConfig()
+	},
+	verify.RuleTraceKind: func() (*pim.Trace, pim.Config) {
+		return channelOf(pim.Command{Kind: pim.Kind(99)}), pim.DefaultConfig()
+	},
+	verify.RuleTraceGWBufs: func() (*pim.Trace, pim.Config) {
+		// GWRITE_4 against the single-buffer Newton baseline.
+		return channelOf(pim.Command{Kind: pim.KindGWrite4, Bursts: 4}, gact, comp, readres), pim.NewtonConfig()
+	},
+	verify.RuleTraceGWOverflow: func() (*pim.Trace, pim.Config) {
+		// The buffer-overflow malformation: one GWRITE moving more bursts
+		// than every global buffer together can hold.
+		cfg := pim.DefaultConfig()
+		cap := cfg.GlobalBufs * ((cfg.GlobalBufBytes + cfg.BurstBytes - 1) / cfg.BurstBytes)
+		return channelOf(pim.Command{Kind: pim.KindGWrite, Bursts: cap + 1}, gact, comp, readres), cfg
+	},
+	verify.RuleTraceBursts: func() (*pim.Trace, pim.Config) {
+		return channelOf(pim.Command{Kind: pim.KindGWrite, Bursts: 0}, gact, comp, readres), pim.DefaultConfig()
+	},
+	verify.RuleTraceCompNoBuf: func() (*pim.Trace, pim.Config) {
+		// The COMP-before-GWRITE malformation.
+		return channelOf(gact, comp, gwrite, comp, readres), pim.DefaultConfig()
+	},
+	verify.RuleTraceCompNoAct: func() (*pim.Trace, pim.Config) {
+		return channelOf(gwrite, comp, readres), pim.DefaultConfig()
+	},
+	verify.RuleTraceCompCols: func() (*pim.Trace, pim.Config) {
+		cfg := pim.DefaultConfig()
+		return channelOf(gwrite, gact,
+			pim.Command{Kind: pim.KindComp, Cols: cfg.ColumnIOsPerRow + 1}, readres), cfg
+	},
+	verify.RuleTraceRRNoComp: func() (*pim.Trace, pim.Config) {
+		return channelOf(gwrite, gact, readres), pim.DefaultConfig()
+	},
+	verify.RuleTraceDrain: func() (*pim.Trace, pim.Config) {
+		return channelOf(gwrite, gact, comp), pim.DefaultConfig()
+	},
+}
+
+func init() {
+	for id, mk := range traceRuleCases {
+		mk := mk
+		ruleCases[id] = func(t *testing.T) []verify.Diagnostic {
+			return verify.Trace(mk())
+		}
+	}
 }
 
 // goodPlanCert is a clean three-node plan certificate: nodes a/b/c with

@@ -6,6 +6,7 @@ import (
 
 	"pimflow/internal/graph"
 	"pimflow/internal/obs"
+	"pimflow/internal/runtime"
 	"pimflow/internal/transform"
 	"pimflow/internal/verify"
 )
@@ -133,5 +134,38 @@ func TestPipelineChainStaysClean(t *testing.T) {
 	}
 	if diags := verify.Graph(g); len(diags) != 0 {
 		t.Errorf("pipelined graph fails verification: %v", diags)
+	}
+}
+
+// TestCompiledRejectsUnoffloadablePIMNodes keeps the gate in step with
+// the runtime: a depthwise conv and a Relu annotated for PIM make
+// runtime.Execute fail, so verify.Compiled must flag both before a model
+// carrying them is served.
+func TestCompiledRejectsUnoffloadablePIMNodes(t *testing.T) {
+	b := graph.NewBuilder("dw", 1, 8, 8, 4)
+	b.Light = true
+	b.DepthwiseConv(3, 3, 1, 1, [4]int{1, 1, 1, 1}).Relu()
+	g := b.MustFinish()
+	if err := g.InferShapes(); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range g.Nodes {
+		n.Exec.Device = graph.DevicePIM
+	}
+	rc := runtime.DefaultConfig()
+	if _, err := runtime.Execute(g, rc); err == nil || !strings.Contains(err.Error(), "not offloadable") {
+		t.Fatalf("runtime.Execute = %v, want a not-offloadable error", err)
+	}
+	diags := verify.Compiled(g, rc.PIM, rc.Codegen)
+	flagged := map[string]bool{}
+	for _, d := range diags {
+		if d.Rule == verify.RuleGraphDevice {
+			flagged[d.Node] = true
+		}
+	}
+	for _, n := range g.Nodes {
+		if !flagged[n.Name] {
+			t.Errorf("node %q (%s) annotated for PIM not flagged %s; got %v", n.Name, n.Op, verify.RuleGraphDevice, diags)
+		}
 	}
 }
