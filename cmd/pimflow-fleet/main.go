@@ -134,21 +134,24 @@ func run(addr string, machines int, load, policy string, channels, pimCh, machin
 		return err
 	}
 
-	loads, err := parseLoads(load, policy, channels, pimCh, sloClass)
+	loads, err := serve.ParseLoads(load, serve.ModelSpec{
+		Policy: policy, TotalChannels: channels, PIMChannels: pimCh, SLO: sloClass,
+	}, true)
 	if err != nil {
 		return err
 	}
 	for _, l := range loads {
-		if l.lazy {
-			if err := f.Register(l.spec, l.replicas); err != nil {
-				return fmt.Errorf("register %q: %w", l.spec.Name, err)
+		replicas := max(l.Replicas, 1)
+		if l.Lazy {
+			if err := f.Register(l.Spec, replicas); err != nil {
+				return fmt.Errorf("register %q: %w", l.Spec.Name, err)
 			}
 			fmt.Printf("registered %s (model %s, %d replica(s), lazy: placed on first request)\n",
-				l.spec.Name, l.spec.Model, l.replicas)
+				l.Spec.Name, l.Spec.Model, replicas)
 			continue
 		}
-		if err := f.Deploy(l.spec, l.replicas); err != nil {
-			return fmt.Errorf("deploy %q: %w", l.spec.Name, err)
+		if err := f.Deploy(l.Spec, replicas); err != nil {
+			return fmt.Errorf("deploy %q: %w", l.Spec.Name, err)
 		}
 	}
 	for _, d := range f.Deployments() {
@@ -225,86 +228,6 @@ func run(addr string, machines int, load, policy string, channels, pimCh, machin
 	}
 	fmt.Println("drained cleanly")
 	return nil
-}
-
-// fleetLoad is one -load entry: the model spec plus fleet placement
-// options.
-type fleetLoad struct {
-	spec     serve.ModelSpec
-	replicas int
-	lazy     bool
-}
-
-// parseLoads expands the -load list. The grammar is pimflow-serve's
-// ("name=model" plus batch=N, window=D, cycles=N, slo=class) extended
-// with replicas=N and the bare "lazy" option.
-func parseLoads(load, policy string, channels, pimCh int, sloClass string) ([]fleetLoad, error) {
-	var loads []fleetLoad
-	for _, entry := range strings.Split(load, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		parts := strings.Split(entry, ";")
-		name, model := parts[0], parts[0]
-		if eq := strings.IndexByte(parts[0], '='); eq >= 0 {
-			name, model = parts[0][:eq], parts[0][eq+1:]
-		}
-		l := fleetLoad{
-			spec: serve.ModelSpec{
-				Name: name, Model: model, Policy: policy,
-				TotalChannels: channels, PIMChannels: pimCh,
-				SLO: sloClass,
-			},
-			replicas: 1,
-		}
-		for _, opt := range parts[1:] {
-			opt = strings.TrimSpace(opt)
-			if opt == "" {
-				continue
-			}
-			if opt == "lazy" {
-				l.lazy = true
-				continue
-			}
-			key, val, ok := strings.Cut(opt, "=")
-			if !ok {
-				return nil, fmt.Errorf("load entry %q: option %q is not key=value", entry, opt)
-			}
-			switch key {
-			case "replicas":
-				n, err := strconv.Atoi(val)
-				if err != nil {
-					return nil, fmt.Errorf("load entry %q: replicas: %v", entry, err)
-				}
-				l.replicas = n
-			case "batch":
-				n, err := strconv.Atoi(val)
-				if err != nil {
-					return nil, fmt.Errorf("load entry %q: batch: %v", entry, err)
-				}
-				l.spec.MaxBatch = n
-			case "window":
-				d, err := time.ParseDuration(val)
-				if err != nil {
-					return nil, fmt.Errorf("load entry %q: window: %v", entry, err)
-				}
-				l.spec.BatchWindowMillis = d.Milliseconds()
-			case "cycles":
-				n, err := strconv.ParseInt(val, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("load entry %q: cycles: %v", entry, err)
-				}
-				l.spec.BatchWindowCycles = n
-			case "slo":
-				l.spec.SLO = val
-			default:
-				return nil, fmt.Errorf("load entry %q: unknown option %q (replicas, lazy, batch, window, cycles, slo)", entry, key)
-			}
-		}
-		loads = append(loads, l)
-	}
-	return loads, nil
 }
 
 // parseGraph parses one -graph entry, "name=type:steps". Steps are

@@ -33,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"pimflow/internal/num"
 	"pimflow/internal/obs"
 	"pimflow/internal/profcache"
 	"pimflow/internal/serve"
@@ -272,7 +273,7 @@ func (f *Fleet) Certificate() verify.FleetCertificate {
 			PIMChannels: m.srv.Machine().PIMChannels,
 		})
 	}
-	for _, name := range sortedKeys(f.graphs) {
+	for _, name := range num.SortedKeys(f.graphs) {
 		c.Graphs = append(c.Graphs, f.graphs[name])
 	}
 	if f.cfg.Certify {

@@ -73,10 +73,16 @@ func stripWall(r *load.Report) load.Report {
 // stack — the same seeded trace replayed through fleet.Replay and
 // through load.Replay on a bare server produces identical reports AND
 // identical schedule certificates (so per-request virtual-cycle
-// latencies match lease for lease), across every arrival process.
+// latencies match lease for lease), across every arrival process and
+// both open-loop admission policies.
 func TestOneMachineFleetMatchesServe(t *testing.T) {
-	for _, process := range []string{"poisson", "diurnal", "bursty"} {
-		sc := toyFleetScenario(11, 2000, process, 1, nil)
+	for _, c := range []struct{ process, admission string }{
+		{"poisson", "shed-oldest"}, {"diurnal", "shed-oldest"}, {"bursty", "shed-oldest"},
+		{"poisson", "reject"}, {"diurnal", "reject"}, {"bursty", "reject"},
+	} {
+		name := c.process + "/" + c.admission
+		sc := toyFleetScenario(11, 2000, c.process, 1, nil)
+		sc.Admission = c.admission
 		reqs, err := load.Generate(sc.Scenario)
 		if err != nil {
 			t.Fatal(err)
@@ -102,10 +108,10 @@ func TestOneMachineFleetMatchesServe(t *testing.T) {
 		f, frep := runFleet(t, sc, reqs)
 		if !reflect.DeepEqual(stripWall(direct), stripWall(frep)) {
 			t.Fatalf("%s: fleet report diverged from serve\n serve: %+v\n fleet: %+v",
-				process, stripWall(direct), stripWall(frep))
+				name, stripWall(direct), stripWall(frep))
 		}
 		if !reflect.DeepEqual(srv.Certificate(), f.Machine(0).Certificate()) {
-			t.Fatalf("%s: fleet machine schedule diverged from serve schedule", process)
+			t.Fatalf("%s: fleet machine schedule diverged from serve schedule", name)
 		}
 	}
 }
@@ -531,5 +537,25 @@ func TestRegistrationValidation(t *testing.T) {
 		{Name: "r", Type: "ensemble", Steps: []fleet.GraphStep{{Node: "x"}}},
 	}}); err == nil {
 		t.Fatal("ensemble over a nested node accepted (FL-NODE restricts branches to models)")
+	}
+}
+
+// NewScenarioFleet surfaces a failed deployment instead of returning a
+// fleet without the model: a backend that repeats a traffic model is a
+// duplicate deploy.
+func TestScenarioFleetDeployError(t *testing.T) {
+	toy := load.ModelLoad{Name: "toy-a", Model: "toy", Policy: "PIMFlow", TotalChannels: 16, PIMChannels: 8}
+	sc := fleet.Scenario{
+		Scenario: load.Scenario{Name: "dup", Models: []load.ModelLoad{toy}},
+		Machines: 2,
+		Backends: []load.ModelLoad{toy},
+	}
+	f, err := fleet.NewScenarioFleet(sc, nil, nil)
+	if err == nil {
+		f.Shutdown(context.Background())
+		t.Fatal("duplicate backend deployed silently")
+	}
+	if !errors.Is(err, fleet.ErrAlreadyDeployed) {
+		t.Fatalf("duplicate backend: %v, want ErrAlreadyDeployed", err)
 	}
 }

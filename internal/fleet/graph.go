@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 
+	"pimflow/internal/num"
 	"pimflow/internal/verify"
 )
 
@@ -49,7 +50,7 @@ func (f *Fleet) Graphs() []Graph {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	gs := make([]Graph, 0, len(f.graphs))
-	for _, name := range sortedKeys(f.graphs) {
+	for _, name := range num.SortedKeys(f.graphs) {
 		gs = append(gs, f.graphs[name])
 	}
 	return gs

@@ -5,24 +5,11 @@ import (
 	"fmt"
 	"sort"
 
+	"pimflow/internal/num"
 	"pimflow/internal/obs"
 	"pimflow/internal/serve"
 	"pimflow/internal/verify"
 )
-
-// sortedKeys returns the map's keys sorted, for deterministic iteration
-// over string-keyed maps.
-//
-//pimflow:deterministic
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	//lint:ignore LT-MAP-ORDER keys are sorted before the caller iterates them
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
 
 // DeploymentInfo is one model's fleet-level listing.
 type DeploymentInfo struct {
@@ -121,7 +108,7 @@ func (f *Fleet) Deployments() []DeploymentInfo {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	infos := make([]DeploymentInfo, 0, len(f.deployments))
-	for _, name := range sortedKeys(f.deployments) {
+	for _, name := range num.SortedKeys(f.deployments) {
 		d := f.deployments[name]
 		info := DeploymentInfo{Name: name, Model: d.spec.Model, Want: d.want, Loaded: d.lm != nil}
 		if d.lm != nil {
@@ -284,7 +271,7 @@ func (f *Fleet) evictForLocked(d *deployment, exclude map[int]bool) int {
 			dep *deployment
 		}
 		var victims []victim
-		for _, name := range sortedKeys(f.deployments) {
+		for _, name := range num.SortedKeys(f.deployments) {
 			od := f.deployments[name]
 			if od == d {
 				continue

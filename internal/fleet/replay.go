@@ -3,12 +3,12 @@ package fleet
 import (
 	"container/heap"
 	"context"
-	"errors"
 	"fmt"
-	"sort"
+	"math"
 	"time"
 
 	"pimflow/internal/load"
+	"pimflow/internal/num"
 	"pimflow/internal/obs"
 	"pimflow/internal/serve"
 	"pimflow/internal/verify"
@@ -42,12 +42,7 @@ func (s Scenario) withDefaults() Scenario {
 	if s.Machines <= 0 {
 		s.Machines = 1
 	}
-	if s.QueueDepth <= 0 {
-		s.QueueDepth = 64
-	}
-	if s.Admission == "" {
-		s.Admission = "shed-oldest"
-	}
+	s.Scenario = s.Scenario.WithDefaults()
 	return s
 }
 
@@ -82,18 +77,14 @@ func NewScenarioFleet(sc Scenario, metrics *obs.Metrics, trace *obs.Trace) (*Fle
 			if graphNames[m.Name] {
 				continue // a traffic entry routing to a graph, not a model
 			}
-			spec := serve.ModelSpec{
-				Name: m.Name, Model: m.Model, Policy: m.Policy,
-				TotalChannels: m.TotalChannels, PIMChannels: m.PIMChannels,
-				MaxBatch: m.MaxBatch, BatchWindowCycles: m.WindowCycles, SLO: m.SLO,
-			}
-			if err := f.Deploy(spec, sc.Replicas[m.Name]); err != nil {
+			if err := f.Deploy(m.Spec(), sc.Replicas[m.Name]); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := deploy(sc.Models); err == nil {
+	err = deploy(sc.Models)
+	if err == nil {
 		err = deploy(sc.Backends)
 	}
 	if err != nil {
@@ -109,51 +100,16 @@ func NewScenarioFleet(sc Scenario, metrics *obs.Metrics, trace *obs.Trace) (*Fle
 	return f, nil
 }
 
-// fleetPending is one admitted, not-yet-flushed hop in a machine's
-// virtual queue (load.Replay's pendingReq plus routing context).
-type fleetPending struct {
-	cycle    int64
-	service  int64
-	deadline int64
-	shed     bool
-	// exec is nil for a plain trace request; ens points at the joining
-	// ensemble frame when this hop is one of its branches.
+// hop is a machine's per-request context: nil exec for a plain trace
+// request; otherwise the route the hop belongs to, the joining ensemble
+// frame when it is one of its branches, and the certificate index of
+// the gating hop (-1 when ungated).
+type hop struct {
 	exec  *routeExec
 	ens   *execFrame
-	graph string
 	node  string
 	model string
-	after int // certificate index of the gating hop, -1 when ungated
-}
-
-// fleetBatch is one model's open batch on one machine.
-type fleetBatch struct {
-	items      []*fleetPending
-	flushCycle int64 // 0: flush immediately (no virtual window)
-}
-
-func fleetHeadCycle(vb *fleetBatch) int64 {
-	if len(vb.items) == 0 {
-		return -1
-	}
-	return vb.items[0].cycle
-}
-
-// cycleHeap is a min-heap of in-service completion cycles (one per
-// machine), mirroring load.Replay's occupancy accounting.
-type cycleHeap []int64
-
-func (h cycleHeap) Len() int           { return len(h) }
-func (h cycleHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h cycleHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *cycleHeap) Push(x any)        { *h = append(*h, x.(int64)) }
-
-func (h *cycleHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	after int
 }
 
 // routeExec is one in-flight graph traversal in the replay.
@@ -214,126 +170,61 @@ func (h *eventHeap) Pop() any {
 	return x
 }
 
-// machineState is one machine's replay-side virtual queue: the open
-// batches and the in-service completion frontier, exactly load.Replay's
-// state for that machine's server.
-type machineState struct {
-	idx      int
-	srv      *serve.Server
-	open     map[string]*fleetBatch
-	inFlight cycleHeap
-}
-
-func (ms *machineState) prune(now int64) {
-	for len(ms.inFlight) > 0 && ms.inFlight[0] <= now {
-		heap.Pop(&ms.inFlight)
-	}
-}
-
-func (ms *machineState) occupancy() int {
-	n := len(ms.inFlight)
-	//lint:ignore LT-MAP-ORDER pure count; the sum is order-insensitive
-	for _, vb := range ms.open {
-		for _, p := range vb.items {
-			if !p.shed {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// openInOrder lists the machine's open unshed hops oldest first (the
-// candidate order serve.PickShedVictim expects), models visited sorted
-// and the sort stable — load.Replay's tie discipline.
-func (ms *machineState) openInOrder() []*fleetPending {
-	var ps []*fleetPending
-	for _, m := range sortedKeys(ms.open) {
-		for _, p := range ms.open[m].items {
-			if !p.shed {
-				ps = append(ps, p)
-			}
-		}
-	}
-	sort.SliceStable(ps, func(i, j int) bool { return ps[i].cycle < ps[j].cycle })
-	return ps
-}
-
-// modelInfo is the per-model shed-prediction and batching policy data
-// (identical on every machine: replicas share one compiled model).
-type modelInfo struct {
-	service  int64
-	deadline int64
-	maxBatch int
-	window   int64
-}
-
 // replayer is the single-goroutine deterministic fleet replay.
 type replayer struct {
 	f        *Fleet
-	sc       Scenario
-	shed     bool
 	rep      *load.Report
 	stats    *load.Collector
-	machines []*machineState
-	info     map[string]*modelInfo
+	machines []*load.Machine[hop]
 	events   eventHeap
 	eventSeq int64
 }
 
 // Replay drives the trace through the fleet deterministically on one
-// goroutine: per-machine admission and continuous batching mirror
-// load.Replay operation for operation (a 1-machine fleet produces an
-// identical report, modulo wall-clock fields), and graph traversals
-// interleave through a (cycle, seq)-ordered event heap — a Sequence
-// hop's arrival is pinned to its predecessor's completion cycle, an
-// Ensemble joins at its slowest branch, so cross-machine latency lives
-// on the one shared virtual timeline. Identical scenario, identical
-// report.
+// goroutine. Each machine's admission and continuous batching is a
+// load.Machine, the engine load.Replay runs on one server, so a
+// 1-machine fleet produces an identical report (modulo wall-clock
+// fields). The router adds join-the-shortest-queue over a model's
+// replicas, and graph traversals interleave through a (cycle,
+// seq)-ordered event heap: a Sequence hop's arrival is pinned to its
+// predecessor's completion cycle and an Ensemble joins at its slowest
+// branch, so cross-machine latency lives on the one shared virtual
+// timeline. Identical scenario, identical report.
 //
 //pimflow:deterministic
 func Replay(f *Fleet, sc Scenario, reqs []load.Request) (*load.Report, error) {
 	sc = sc.withDefaults()
-	shed := sc.Admission == "shed-oldest" || sc.Admission == "shed"
-	if !shed && sc.Admission != "reject" {
-		return nil, fmt.Errorf("fleet: replay admission %q (open-loop replay supports reject and shed-oldest)", sc.Admission)
-	}
 	if f.Size() != sc.Machines {
 		return nil, fmt.Errorf("fleet: scenario wants %d machines, fleet has %d", sc.Machines, f.Size())
 	}
 	x := &replayer{
 		f:     f,
-		sc:    sc,
-		shed:  shed,
 		rep:   &load.Report{Scenario: sc.Name, Requests: len(reqs), Classes: map[string]load.ClassStats{}},
 		stats: load.NewCollector(sc.Scenario, len(reqs)),
-		info:  map[string]*modelInfo{},
 	}
 	for i := 0; i < f.Size(); i++ {
-		x.machines = append(x.machines, &machineState{
-			idx:  i,
-			srv:  f.Machine(i),
-			open: map[string]*fleetBatch{},
+		m, err := load.NewMachine(f.Machine(i), sc.Scenario, func(p *load.Pending[hop], resp *serve.InferResponse, err error) {
+			x.done(i, p, resp, err)
 		})
+		if err != nil {
+			return nil, err
+		}
+		x.machines = append(x.machines, m)
 	}
 	started := time.Now()
 
-	ti := 0
-	for ti < len(reqs) || x.events.Len() > 0 {
-		if x.events.Len() > 0 && (ti >= len(reqs) || x.events[0].cycle <= reqs[ti].Cycle) {
-			ev := heap.Pop(&x.events).(hopEvent)
-			if err := x.advance(ev.exec, ev.cycle); err != nil {
-				return nil, err
-			}
-			continue
+	for _, r := range reqs {
+		if err := x.runEvents(r.Cycle); err != nil {
+			return nil, err
 		}
-		r := reqs[ti]
-		ti++
 		if err := x.admitTrace(r); err != nil {
 			return nil, err
 		}
 	}
-	if err := x.drain(); err != nil {
+	// Trailing state: pending events first (each may open fresh
+	// batches), then the globally earliest-headed open batch, until
+	// nothing is open anywhere.
+	if err := load.Drain(x.machines, func() error { return x.runEvents(math.MaxInt64) }); err != nil {
 		return nil, err
 	}
 
@@ -346,7 +237,7 @@ func Replay(f *Fleet, sc Scenario, reqs []load.Request) (*load.Report, error) {
 				len(cert.Machines), len(cert.Hops), verify.AsError(diags))
 		}
 		x.rep.Certified = true
-		for _, name := range sortedKeys(cert.Schedules) {
+		for _, name := range num.SortedKeys(cert.Schedules) {
 			x.rep.CertifiedLeases += len(cert.Schedules[name].Leases)
 		}
 	}
@@ -377,7 +268,7 @@ func (x *replayer) admitTrace(r load.Request) error {
 	x.f.mu.Unlock()
 	route := x.f.nextRoute()
 	if !isGraph {
-		return x.issueHop(nil, nil, route, "", "", r.Model, r.Cycle, -1)
+		return x.issueHop(route, r.Cycle, hop{model: r.Model, after: -1})
 	}
 	root, err := graphNode(g, g.Root)
 	if err != nil {
@@ -419,7 +310,7 @@ func (x *replayer) advance(exec *routeExec, t int64) error {
 				exec.frames = append(exec.frames, &execFrame{node: n})
 				continue
 			}
-			return x.issueHop(exec, nil, exec.route, exec.graph.Name, fr.node.Name, s.Model, t, exec.lastCert)
+			return x.issueHop(exec.route, t, hop{exec: exec, node: fr.node.Name, model: s.Model, after: exec.lastCert})
 		case "ensemble":
 			// FL-NODE restricts ensemble steps to models, so every branch
 			// is one hop and the join state fits in the frame.
@@ -428,7 +319,7 @@ func (x *replayer) advance(exec *routeExec, t int64) error {
 			fr.maxCert = -1
 			gate := exec.lastCert
 			for _, s := range fr.node.Steps {
-				if err := x.issueHop(exec, fr, exec.route, exec.graph.Name, fr.node.Name, s.Model, t, gate); err != nil {
+				if err := x.issueHop(exec.route, t, hop{exec: exec, ens: fr, node: fr.node.Name, model: s.Model, after: gate}); err != nil {
 					return err
 				}
 			}
@@ -444,13 +335,12 @@ func (x *replayer) advance(exec *routeExec, t int64) error {
 				exec.frames = append(exec.frames, &execFrame{node: n})
 				continue
 			}
-			return x.issueHop(exec, nil, exec.route, exec.graph.Name, fr.node.Name, s.Model, t, exec.lastCert)
+			return x.issueHop(exec.route, t, hop{exec: exec, node: fr.node.Name, model: s.Model, after: exec.lastCert})
 		case "switch":
 			s, err := pickSwitch(exec.cond, fr.node.Steps)
 			if err != nil {
 				// No matching step: the route fails (counted once).
-				exec.failed = true
-				x.rep.Errors++
+				x.fail(exec, err)
 				return nil
 			}
 			exec.frames = exec.frames[:len(exec.frames)-1]
@@ -462,7 +352,7 @@ func (x *replayer) advance(exec *routeExec, t int64) error {
 				exec.frames = append(exec.frames, &execFrame{node: n})
 				continue
 			}
-			return x.issueHop(exec, nil, exec.route, exec.graph.Name, fr.node.Name, s.Model, t, exec.lastCert)
+			return x.issueHop(exec.route, t, hop{exec: exec, node: fr.node.Name, model: s.Model, after: exec.lastCert})
 		default:
 			return fmt.Errorf("fleet: graph %q node %q has unknown type %q", exec.graph.Name, fr.node.Name, fr.node.Type)
 		}
@@ -475,18 +365,18 @@ func (x *replayer) advance(exec *routeExec, t int64) error {
 // occupancy (in-flight completions pruned to the hop cycle first), ties
 // to the lowest index — at one replica this always lands on the same
 // machine load.Replay would be.
-func (x *replayer) resolve(route int64, model string, t int64) (*machineState, *modelInfo, error) {
+func (x *replayer) resolve(route int64, model string, t int64) (int, error) {
 	f := x.f
 	f.mu.Lock()
 	d, ok := f.deployments[model]
 	if !ok {
 		f.mu.Unlock()
-		return nil, nil, fmt.Errorf("fleet: trace names unknown model %q", model)
+		return 0, fmt.Errorf("fleet: trace names unknown model %q", model)
 	}
 	if len(d.replicas) == 0 {
 		if err := f.ensureLocked(d, true); err != nil {
 			f.mu.Unlock()
-			return nil, nil, err
+			return 0, err
 		}
 		f.cfg.Metrics.Inc("fleet.on_demand_loads")
 	}
@@ -494,174 +384,66 @@ func (x *replayer) resolve(route int64, model string, t int64) (*machineState, *
 	replicas := append([]int(nil), d.replicas...)
 	f.mu.Unlock()
 
-	info := x.info[model]
-	if info == nil {
-		lm, err := f.compiler.Get(model)
-		if err != nil {
-			return nil, nil, err
-		}
-		info = &modelInfo{
-			service:  lm.Solo.DurationCycles(),
-			deadline: lm.SLOTarget,
-			maxBatch: lm.Batch.MaxBatch,
-			window:   lm.Batch.WindowCycles,
-		}
-		x.info[model] = info
-	}
-
-	var best *machineState
-	bestLoad := 0
+	best, bestLoad := -1, 0
 	for _, mi := range replicas {
-		ms := x.machines[mi]
-		ms.prune(t)
-		if l := ms.occupancy(); best == nil || l < bestLoad {
-			best, bestLoad = ms, l
+		m := x.machines[mi]
+		m.Prune(t)
+		if l := m.Occupancy(); best < 0 || l < bestLoad {
+			best, bestLoad = mi, l
 		}
 	}
-	return best, info, nil
+	return best, nil
 }
 
-// issueHop admits one hop on its resolved machine — the same admission
-// steps, in the same order, as load.Replay's arrival handling: flush
-// overdue windows, prune completions, check occupancy (reject or shed
-// the live queue's victim), open or extend the model's batch, flush
-// when full or windowless.
-func (x *replayer) issueHop(exec *routeExec, ens *execFrame, route int64, graphName, nodeName, model string, t int64, after int) error {
-	ms, info, err := x.resolve(route, model, t)
+// issueHop admits one hop at cycle t on the machine resolve picks.
+func (x *replayer) issueHop(route, t int64, h hop) error {
+	mi, err := x.resolve(route, h.model, t)
 	if err != nil {
 		return err
 	}
-	if err := x.flushDue(ms, t); err != nil {
-		return err
-	}
-	ms.prune(t)
-	p := &fleetPending{cycle: t, service: info.service, deadline: info.deadline,
-		exec: exec, ens: ens, graph: graphName, node: nodeName, model: model, after: after}
-	if ms.occupancy() >= x.sc.QueueDepth {
-		if !x.shed {
-			x.countFail(p, &x.rep.Rejected)
-			return nil
-		}
-		ps := ms.openInOrder()
-		cands := make([]serve.ShedCandidate, 0, len(ps)+1)
-		for _, q := range ps {
-			cands = append(cands, serve.ShedCandidate{Deadline: q.deadline, Service: q.service})
-		}
-		cands = append(cands, serve.ShedCandidate{Deadline: p.deadline, Service: p.service})
-		v := serve.PickShedVictim(cands)
-		if v == len(ps) {
-			x.countFail(p, &x.rep.Shed)
-			return nil
-		}
-		ps[v].shed = true
-		x.countFail(ps[v], &x.rep.Shed)
-	}
-	vb := ms.open[model]
-	if vb == nil {
-		vb = &fleetBatch{}
-		if info.maxBatch > 1 && info.window > 0 {
-			vb.flushCycle = t + info.window
-		}
-		ms.open[model] = vb
-	}
-	vb.items = append(vb.items, p)
-	full := 0
-	for _, q := range vb.items {
-		if !q.shed {
-			full++
-		}
-	}
-	if full >= info.maxBatch || vb.flushCycle == 0 {
-		return x.flush(ms, model, vb)
-	}
-	return nil
+	return x.machines[mi].Admit(h.model, t, h)
 }
 
-// countFail records one admission failure: plain requests count
-// directly; a route counts once, at its first failed hop (in-flight
-// sibling branches of a failed route complete as no-ops).
-func (x *replayer) countFail(p *fleetPending, counter *int) {
-	if p.exec == nil {
-		*counter++
-		return
-	}
-	if !p.exec.failed {
-		p.exec.failed = true
-		*counter++
-	}
-}
-
-// flushDue flushes the machine's overdue windows in deterministic
-// (flushCycle, model) order — load.Replay's discipline.
-func (x *replayer) flushDue(ms *machineState, now int64) error {
-	for {
-		var dueModel string
-		var due *fleetBatch
-		for _, m := range sortedKeys(ms.open) {
-			vb := ms.open[m]
-			if vb.flushCycle > 0 && now > vb.flushCycle &&
-				(due == nil || vb.flushCycle < due.flushCycle) {
-				dueModel, due = m, vb
-			}
-		}
-		if due == nil {
-			return nil
-		}
-		if err := x.flush(ms, dueModel, due); err != nil {
-			return err
-		}
-	}
-}
-
-// flush hands one formed batch to the machine's InferBatch and settles
-// each member: plain requests feed the report directly; routed hops
-// record their certificate entry and schedule the route's continuation
-// on the event heap (never recursively — the heap's (cycle, seq) order
-// is the one source of interleaving).
-func (x *replayer) flush(ms *machineState, model string, vb *fleetBatch) error {
-	delete(ms.open, model)
-	var batch []serve.InferRequest
-	var live []*fleetPending
-	for _, p := range vb.items {
-		if p.shed {
-			continue
-		}
-		batch = append(batch, serve.InferRequest{Model: model, ArrivalCycle: p.cycle})
-		live = append(live, p)
-	}
-	if len(batch) == 0 {
-		return nil
-	}
-	outs, err := ms.srv.InferBatch(context.Background(), batch, serve.BatchOptions{Execute: x.sc.Execute})
+// done receives machine mi's outcome for one hop: a served hop settles,
+// a failed one counts against its request or route.
+func (x *replayer) done(mi int, p *load.Pending[hop], resp *serve.InferResponse, err error) {
 	if err != nil {
-		return err
-	}
-	for i, o := range outs {
-		p := live[i]
-		switch {
-		case o.Err == nil:
-			heap.Push(&ms.inFlight, o.Resp.EndCycle)
-			x.settle(ms, p, o.Resp)
-		case errors.Is(o.Err, serve.ErrDeadlineViolation):
-			x.countFail(p, &x.rep.Violated)
-		default:
-			x.countFail(p, &x.rep.Errors)
-		}
-	}
-	return nil
-}
-
-// settle finishes one served hop.
-func (x *replayer) settle(ms *machineState, p *fleetPending, resp *serve.InferResponse) {
-	if p.exec == nil {
-		x.observe(resp)
+		x.fail(p.Ctx.exec, err)
 		return
 	}
-	exec := p.exec
+	x.settle(mi, p, resp)
+}
+
+// fail records one failure: plain requests (nil exec) count directly;
+// a route counts once, at its first failed hop (in-flight sibling
+// branches of a failed route complete as no-ops).
+func (x *replayer) fail(exec *routeExec, err error) {
+	if exec != nil {
+		if exec.failed {
+			return
+		}
+		exec.failed = true
+	}
+	x.stats.Record(x.rep, nil, err)
+}
+
+// settle finishes one hop served on machine mi: a plain request feeds
+// the report directly; a routed hop records its certificate entry and
+// schedules the route's continuation on the event heap (never
+// recursively — the heap's (cycle, seq) order is the one source of
+// interleaving).
+func (x *replayer) settle(mi int, p *load.Pending[hop], resp *serve.InferResponse) {
+	h := p.Ctx
+	if h.exec == nil {
+		x.stats.Record(x.rep, resp, nil)
+		return
+	}
+	exec := h.exec
+	name := x.f.machines[mi].name
 	idx := x.f.recordHop(verify.FleetHop{
-		Route: exec.route, Index: exec.hopCount, Graph: p.graph, Node: p.node,
-		Model: p.model, Machine: x.f.machines[ms.idx].name,
-		Arrival: p.cycle, End: resp.EndCycle, After: p.after,
+		Route: exec.route, Index: exec.hopCount, Graph: exec.graph.Name, Node: h.node,
+		Model: h.model, Machine: name,
+		Arrival: p.Cycle, End: resp.EndCycle, After: h.after,
 	})
 	exec.hopCount++
 	exec.lastBatch = resp.BatchSize
@@ -673,9 +455,9 @@ func (x *replayer) settle(ms *machineState, p *fleetPending, resp *serve.InferRe
 	exec.stages.LeaseWait += resp.LeaseWaitCycles
 	exec.stages.Execute += resp.ExecuteCycles
 	x.f.cfg.Metrics.Inc("fleet.hops")
-	x.f.cfg.Metrics.Inc(obs.LabeledKey("fleet.hops", "machine", x.f.machines[ms.idx].name))
-	if p.ens != nil {
-		fr := p.ens
+	x.f.cfg.Metrics.Inc(obs.LabeledKey("fleet.hops", "machine", name))
+	if h.ens != nil {
+		fr := h.ens
 		fr.remaining--
 		if resp.EndCycle > fr.maxEnd {
 			fr.maxEnd = resp.EndCycle
@@ -702,19 +484,6 @@ func (x *replayer) pushEvent(exec *routeExec, cycle int64) {
 	heap.Push(&x.events, hopEvent{cycle: cycle, seq: x.eventSeq, exec: exec})
 }
 
-// observe feeds one request-level completion into the report.
-func (x *replayer) observe(resp *serve.InferResponse) {
-	x.rep.Served++
-	x.stats.Observe(resp)
-	cs := x.rep.Classes[resp.SLOClass]
-	cs.Served++
-	if resp.SLOMiss {
-		cs.SLOMiss++
-		x.rep.SLOMiss++
-	}
-	x.rep.Classes[resp.SLOClass] = cs
-}
-
 // finishExec completes a route: its end-to-end latency is the last
 // completion minus the trace arrival (Sequence hops pin each arrival to
 // the predecessor's end, so the pinning is exact; Ensemble branches
@@ -723,7 +492,7 @@ func (x *replayer) observe(resp *serve.InferResponse) {
 // exactly; an Ensemble's concurrent branches make the sum an
 // upper bound.
 func (x *replayer) finishExec(exec *routeExec, t int64) {
-	x.observe(&serve.InferResponse{
+	x.stats.Record(x.rep, &serve.InferResponse{
 		Model:           exec.graph.Name,
 		ArrivalCycle:    exec.arrival,
 		EndCycle:        t,
@@ -734,40 +503,18 @@ func (x *replayer) finishExec(exec *routeExec, t int64) {
 		BatchWaitCycles: exec.stages.BatchWait,
 		LeaseWaitCycles: exec.stages.LeaseWait,
 		ExecuteCycles:   exec.stages.Execute,
-	})
+	}, nil)
 	x.f.cfg.Metrics.Observe("fleet.route_latency_cycles", float64(t-exec.arrival))
 }
 
-// drain settles the trailing state once the trace is exhausted: pending
-// events first (each may open fresh batches), then the globally
-// earliest-headed open batch across (machine index, sorted model) —
-// load.Replay's trailing order, lifted to N machines — until nothing is
-// open anywhere.
-func (x *replayer) drain() error {
-	for {
-		if x.events.Len() > 0 {
-			ev := heap.Pop(&x.events).(hopEvent)
-			if err := x.advance(ev.exec, ev.cycle); err != nil {
-				return err
-			}
-			continue
-		}
-		var bestMS *machineState
-		var bestModel string
-		var best *fleetBatch
-		for _, ms := range x.machines {
-			for _, m := range sortedKeys(ms.open) {
-				vb := ms.open[m]
-				if best == nil || fleetHeadCycle(vb) < fleetHeadCycle(best) {
-					bestMS, bestModel, best = ms, m, vb
-				}
-			}
-		}
-		if best == nil {
-			return nil
-		}
-		if err := x.flush(bestMS, bestModel, best); err != nil {
+// runEvents resumes, in (cycle, seq) order, every route whose event
+// falls at or before cycle.
+func (x *replayer) runEvents(cycle int64) error {
+	for x.events.Len() > 0 && x.events[0].cycle <= cycle {
+		ev := heap.Pop(&x.events).(hopEvent)
+		if err := x.advance(ev.exec, ev.cycle); err != nil {
 			return err
 		}
 	}
+	return nil
 }

@@ -1,6 +1,8 @@
 package load
 
 import (
+	"errors"
+
 	"pimflow/internal/serve"
 )
 
@@ -17,13 +19,13 @@ const AutoStreamRequests = 200_000
 // folds them into a Report. It has two modes with one interface: the
 // exact mode keeps every latency record (percentiles are exact and the
 // per-request sections are available), the streaming mode keeps a
-// fixed-size deterministic sketch (see QuantileSketch). The replay
-// drivers — load.Replay, load.ReplayLive, and the fleet replay — all
-// feed one of these, so the auto-switch policy lives in exactly one
-// place.
+// fixed-size deterministic sketch (see QuantileSketch). Every replay
+// driver — Replay and the fleet replay, which share Machine, and
+// ReplayLive — records its outcomes through one of these, so the
+// outcome counters and the auto-switch policy live in exactly one place.
 //
 // A Collector is not safe for concurrent use; concurrent drivers
-// (ReplayLive) serialize Observe calls under their own lock.
+// (ReplayLive) serialize Record calls under their own lock.
 type Collector struct {
 	stream   *streamStats
 	recs     []latRec
@@ -60,8 +62,33 @@ func (c *Collector) Samples() int {
 	return len(c.recs)
 }
 
-// Observe folds one served response into the statistics.
-func (c *Collector) Observe(resp *serve.InferResponse) {
+// Record folds one request outcome into the report. A served response
+// (nil err) counts as served, in its SLO class, and in the statistics;
+// an error counts as shed, rejected, violated, or an error.
+func (c *Collector) Record(rep *Report, resp *serve.InferResponse, err error) {
+	switch {
+	case err == nil:
+	case errors.Is(err, serve.ErrShed):
+		rep.Shed++
+		return
+	case errors.Is(err, serve.ErrQueueFull):
+		rep.Rejected++
+		return
+	case errors.Is(err, serve.ErrDeadlineViolation):
+		rep.Violated++
+		return
+	default:
+		rep.Errors++
+		return
+	}
+	rep.Served++
+	cs := rep.Classes[resp.SLOClass]
+	cs.Served++
+	if resp.SLOMiss {
+		cs.SLOMiss++
+		rep.SLOMiss++
+	}
+	rep.Classes[resp.SLOClass] = cs
 	c.batchSum += int64(resp.BatchSize)
 	if resp.EndCycle > c.makespan {
 		c.makespan = resp.EndCycle

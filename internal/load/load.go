@@ -16,6 +16,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"pimflow/internal/serve"
 )
 
 // ModelLoad is one served model instance in a scenario.
@@ -35,6 +37,15 @@ type ModelLoad struct {
 	// Weight overrides the model's Zipf popularity (0: rank-based
 	// 1/rank^s over the scenario's model order).
 	Weight float64 `json:"weight,omitempty"`
+}
+
+// Spec is the serving spec the model loads under.
+func (m ModelLoad) Spec() serve.ModelSpec {
+	return serve.ModelSpec{
+		Name: m.Name, Model: m.Model, Policy: m.Policy,
+		TotalChannels: m.TotalChannels, PIMChannels: m.PIMChannels,
+		MaxBatch: m.MaxBatch, BatchWindowCycles: m.WindowCycles, SLO: m.SLO,
+	}
 }
 
 // Scenario describes one reproducible workload.
@@ -84,7 +95,9 @@ type Scenario struct {
 	SketchK int `json:"sketchK,omitempty"`
 }
 
-func (s Scenario) withDefaults() Scenario {
+// WithDefaults fills the scenario's unset fields with their defaults
+// (10k Poisson requests at 1 per Mcycle, a 64-deep shed-oldest queue).
+func (s Scenario) WithDefaults() Scenario {
 	if s.Requests <= 0 {
 		s.Requests = 10_000
 	}
@@ -128,7 +141,7 @@ type Request struct {
 // the configured process, models from the Zipf popularity draw, all from
 // one seeded PRNG so the trace is a pure function of the scenario.
 func Generate(sc Scenario) ([]Request, error) {
-	sc = sc.withDefaults()
+	sc = sc.WithDefaults()
 	if len(sc.Models) == 0 {
 		return nil, fmt.Errorf("load: scenario %q has no models", sc.Name)
 	}

@@ -1,9 +1,7 @@
 package load
 
 import (
-	"container/heap"
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -11,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pimflow/internal/num"
 	"pimflow/internal/obs"
 	"pimflow/internal/serve"
 	"pimflow/internal/verify"
@@ -105,20 +104,6 @@ type latRec struct {
 	stages serve.StageCycles
 }
 
-// sortedModels returns the map's keys in sorted order, so callers can
-// iterate string-keyed maps deterministically.
-//
-//pimflow:deterministic
-func sortedModels[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	//lint:ignore LT-MAP-ORDER keys are sorted before the caller iterates them
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 func recOf(resp *serve.InferResponse) latRec {
 	return latRec{
 		lat:   resp.LatencyCycles,
@@ -150,271 +135,37 @@ func percentile(sorted []int64, q float64) int64 {
 // LoadModels loads every scenario model into the server's registry.
 func LoadModels(srv *serve.Server, sc Scenario) error {
 	for _, m := range sc.Models {
-		spec := serve.ModelSpec{
-			Name: m.Name, Model: m.Model, Policy: m.Policy,
-			TotalChannels: m.TotalChannels, PIMChannels: m.PIMChannels,
-			MaxBatch: m.MaxBatch, BatchWindowCycles: m.WindowCycles, SLO: m.SLO,
-		}
-		if _, err := srv.Registry().Load(spec); err != nil {
+		if _, err := srv.Registry().Load(m.Spec()); err != nil {
 			return fmt.Errorf("load: model %q: %w", m.Name, err)
 		}
 	}
 	return nil
 }
 
-// pendingReq is one admitted, not-yet-flushed request in the replay
-// driver's virtual queue.
-type pendingReq struct {
-	req      Request
-	service  int64 // warm solo estimate, for shed prediction
-	deadline int64 // SLO target, 0 best-effort
-	shed     bool
-}
-
-// virtualBatch is one model's open batch in the replay driver.
-type virtualBatch struct {
-	items      []*pendingReq
-	flushCycle int64 // 0: flush immediately (no virtual window)
-}
-
-// endHeap is a min-heap of in-service completion cycles: requests whose
-// batches are placed but whose completions are still in the future count
-// against the virtual queue depth.
-type endHeap []int64
-
-func (h endHeap) Len() int           { return len(h) }
-func (h endHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h endHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *endHeap) Push(x any)        { *h = append(*h, x.(int64)) }
-
-func (h *endHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-func (h endHeap) peek() (int64, bool) {
-	if len(h) == 0 {
-		return 0, false
-	}
-	return h[0], true
-}
-
-// Replay drives the trace through the server deterministically: the
-// driver itself performs admission and continuous batching in virtual
-// time on a single goroutine — occupancy is open (unflushed) requests
-// plus placed requests whose completions are still in the simulated
-// future — and hands each formed batch to Server.InferBatch, which runs
-// the live path's placement, deadline, and SLO machinery synchronously.
+// Replay drives the trace through the server deterministically: one
+// Machine performs admission and continuous batching in virtual time on
+// a single goroutine and hands each formed batch to Server.InferBatch.
 // Identical scenario, identical report (modulo wall-clock fields).
 //
 //pimflow:deterministic
 func Replay(srv *serve.Server, sc Scenario, reqs []Request) (*Report, error) {
-	sc = sc.withDefaults()
-	shed := sc.Admission == "shed-oldest" || sc.Admission == "shed"
-	if !shed && sc.Admission != "reject" {
-		return nil, fmt.Errorf("load: replay admission %q (open-loop replay supports reject and shed-oldest)", sc.Admission)
-	}
-
-	type modelInfo struct {
-		service  int64
-		deadline int64
-		maxBatch int
-		window   int64
-	}
-	models := map[string]modelInfo{}
-	for _, m := range sc.Models {
-		lm, err := srv.Registry().Get(m.Name)
-		if err != nil {
-			return nil, err
-		}
-		models[m.Name] = modelInfo{
-			service:  lm.Solo.DurationCycles(),
-			deadline: lm.SLOTarget,
-			maxBatch: lm.Batch.MaxBatch,
-			window:   lm.Batch.WindowCycles,
-		}
-	}
-
+	sc = sc.WithDefaults()
 	rep := &Report{Scenario: sc.Name, Requests: len(reqs), Classes: map[string]ClassStats{}}
+	stats := NewCollector(sc, len(reqs))
+	m, err := NewMachine(srv, sc, func(_ *Pending[struct{}], resp *serve.InferResponse, err error) {
+		stats.Record(rep, resp, err)
+	})
+	if err != nil {
+		return nil, err
+	}
 	started := time.Now()
-	var (
-		open     = map[string]*virtualBatch{} // per-model open batch
-		inFlight endHeap                      // completion cycles of placed work
-		stats    = NewCollector(sc, len(reqs))
-	)
-
-	flush := func(model string, vb *virtualBatch) error {
-		delete(open, model)
-		var batch []serve.InferRequest
-		for _, p := range vb.items {
-			if p.shed {
-				continue
-			}
-			batch = append(batch, serve.InferRequest{Model: model, ArrivalCycle: p.req.Cycle})
-		}
-		if len(batch) == 0 {
-			return nil
-		}
-		outs, err := srv.InferBatch(context.Background(), batch, serve.BatchOptions{Execute: sc.Execute})
-		if err != nil {
-			return err
-		}
-		for _, o := range outs {
-			switch {
-			case o.Err == nil:
-				rep.Served++
-				stats.Observe(o.Resp)
-				cs := rep.Classes[o.Resp.SLOClass]
-				cs.Served++
-				if o.Resp.SLOMiss {
-					cs.SLOMiss++
-					rep.SLOMiss++
-				}
-				rep.Classes[o.Resp.SLOClass] = cs
-				heap.Push(&inFlight, o.Resp.EndCycle)
-			case errors.Is(o.Err, serve.ErrDeadlineViolation):
-				rep.Violated++
-			default:
-				rep.Errors++
-			}
-		}
-		return nil
-	}
-
-	// flushDue flushes, in deterministic (flushCycle, model) order, every
-	// open batch whose virtual window the clock has passed. Models are
-	// visited in sorted order and the minimum is strict, so ties resolve
-	// by name without consulting map iteration order.
-	flushDue := func(now int64) error {
-		for {
-			var dueModel string
-			var due *virtualBatch
-			for _, m := range sortedModels(open) {
-				vb := open[m]
-				if vb.flushCycle > 0 && now > vb.flushCycle &&
-					(due == nil || vb.flushCycle < due.flushCycle) {
-					dueModel, due = m, vb
-				}
-			}
-			if due == nil {
-				return nil
-			}
-			if err := flush(dueModel, due); err != nil {
-				return err
-			}
-		}
-	}
-
-	occupancy := func() int {
-		n := len(inFlight)
-		//lint:ignore LT-MAP-ORDER pure count; the sum is order-insensitive
-		for _, vb := range open {
-			for _, p := range vb.items {
-				if !p.shed {
-					n++
-				}
-			}
-		}
-		return n
-	}
-
-	// openInOrder lists the open (unflushed, unshed) requests oldest
-	// first — the candidate order PickShedVictim expects. Collection
-	// walks models in sorted order and the sort is stable, so requests
-	// arriving on the same cycle from different models keep one fixed
-	// order: an unstable sort over map-ordered candidates let equal-cycle
-	// ties land on a different shed victim run to run.
-	openInOrder := func() []*pendingReq {
-		var ps []*pendingReq
-		for _, m := range sortedModels(open) {
-			for _, p := range open[m].items {
-				if !p.shed {
-					ps = append(ps, p)
-				}
-			}
-		}
-		sort.SliceStable(ps, func(i, j int) bool { return ps[i].req.Cycle < ps[j].req.Cycle })
-		return ps
-	}
-
 	for _, r := range reqs {
-		mi, ok := models[r.Model]
-		if !ok {
-			return nil, fmt.Errorf("load: trace names unloaded model %q", r.Model)
-		}
-		if err := flushDue(r.Cycle); err != nil {
+		if err := m.Admit(r.Model, r.Cycle, struct{}{}); err != nil {
 			return nil, err
-		}
-		// Completions at or before this arrival free queue slots.
-		for {
-			end, ok := inFlight.peek()
-			if !ok || end > r.Cycle {
-				break
-			}
-			heap.Pop(&inFlight)
-		}
-		p := &pendingReq{req: r, service: mi.service, deadline: mi.deadline}
-		if occupancy() >= sc.QueueDepth {
-			if !shed {
-				rep.Rejected++
-				continue
-			}
-			// Shed the same victim the live queue would pick: open requests
-			// oldest-first plus the incoming one.
-			ps := openInOrder()
-			cands := make([]serve.ShedCandidate, 0, len(ps)+1)
-			for _, q := range ps {
-				cands = append(cands, serve.ShedCandidate{Deadline: q.deadline, Service: q.service})
-			}
-			cands = append(cands, serve.ShedCandidate{Deadline: p.deadline, Service: p.service})
-			v := serve.PickShedVictim(cands)
-			rep.Shed++
-			if v == len(ps) {
-				continue // the arrival itself was the most hopeless
-			}
-			ps[v].shed = true
-		}
-		vb := open[r.Model]
-		if vb == nil {
-			vb = &virtualBatch{}
-			if mi.maxBatch > 1 && mi.window > 0 {
-				vb.flushCycle = r.Cycle + mi.window
-			}
-			open[r.Model] = vb
-		}
-		vb.items = append(vb.items, p)
-		full := 0
-		for _, q := range vb.items {
-			if !q.shed {
-				full++
-			}
-		}
-		if full >= mi.maxBatch || vb.flushCycle == 0 {
-			if err := flush(r.Model, vb); err != nil {
-				return nil, err
-			}
 		}
 	}
-	// Trailing batches flush in deterministic (headCycle, model) order:
-	// sorted model visit plus strict minimum resolves ties by name.
-	for {
-		var m string
-		var vb *virtualBatch
-		for _, om := range sortedModels(open) {
-			ovb := open[om]
-			if vb == nil || headCycle(ovb) < headCycle(vb) {
-				m, vb = om, ovb
-			}
-		}
-		if vb == nil {
-			break
-		}
-		if err := flush(m, vb); err != nil {
-			return nil, err
-		}
+	if err := Drain([]*Machine[struct{}]{m}, nil); err != nil {
+		return nil, err
 	}
 
 	rep.WallSeconds = time.Since(started).Seconds()
@@ -471,7 +222,7 @@ func stageStats(recs []latRec) map[string]StageStats {
 		cols["execute"] = append(cols["execute"], r.stages.Execute)
 	}
 	out := make(map[string]StageStats, len(cols))
-	for _, name := range sortedModels(cols) {
+	for _, name := range num.SortedKeys(cols) {
 		vals := cols[name]
 		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
 		var sum int64
@@ -487,13 +238,6 @@ func stageStats(recs []latRec) map[string]StageStats {
 		}
 	}
 	return out
-}
-
-func headCycle(vb *virtualBatch) int64 {
-	if len(vb.items) == 0 {
-		return -1
-	}
-	return vb.items[0].req.Cycle
 }
 
 // finishReport folds the collected latencies into percentiles, the
@@ -532,7 +276,7 @@ func finishReport(rep *Report, recs []latRec, classLat map[string][]int64, batch
 		}
 	}
 	rep.MakespanCycles = makespan
-	for _, cls := range sortedModels(classLat) {
+	for _, cls := range num.SortedKeys(classLat) {
 		ls := classLat[cls]
 		sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
 		cs := rep.Classes[cls]
@@ -554,7 +298,7 @@ func finishReport(rep *Report, recs []latRec, classLat map[string][]int64, batch
 // so the report is NOT run-to-run deterministic; it exists for soak and
 // race coverage and for wall-clock throughput measurement.
 func ReplayLive(srv *serve.Server, sc Scenario, reqs []Request, clients int) (*Report, error) {
-	sc = sc.withDefaults()
+	sc = sc.WithDefaults()
 	if clients <= 0 {
 		clients = 8
 	}
@@ -580,7 +324,7 @@ func ReplayLive(srv *serve.Server, sc Scenario, reqs []Request, clients int) (*R
 				p, err := srv.Submit(context.Background(), serve.InferRequest{Model: r.Model, ArrivalCycle: r.Cycle})
 				if err != nil {
 					mu.Lock()
-					countLiveError(rep, err)
+					stats.Record(rep, nil, err)
 					mu.Unlock()
 					continue
 				}
@@ -589,20 +333,8 @@ func ReplayLive(srv *serve.Server, sc Scenario, reqs []Request, clients int) (*R
 					defer pending.Done()
 					resp, err := p.Wait(context.Background())
 					mu.Lock()
-					defer mu.Unlock()
-					if err != nil {
-						countLiveError(rep, err)
-						return
-					}
-					rep.Served++
-					stats.Observe(resp)
-					cs := rep.Classes[resp.SLOClass]
-					cs.Served++
-					if resp.SLOMiss {
-						cs.SLOMiss++
-						rep.SLOMiss++
-					}
-					rep.Classes[resp.SLOClass] = cs
+					stats.Record(rep, resp, err)
+					mu.Unlock()
 				}()
 			}
 		}()
@@ -615,19 +347,6 @@ func ReplayLive(srv *serve.Server, sc Scenario, reqs []Request, clients int) (*R
 	rep.WallSeconds = time.Since(started).Seconds()
 	stats.Finish(rep)
 	return rep, nil
-}
-
-func countLiveError(rep *Report, err error) {
-	switch {
-	case errors.Is(err, serve.ErrShed):
-		rep.Shed++
-	case errors.Is(err, serve.ErrQueueFull):
-		rep.Rejected++
-	case errors.Is(err, serve.ErrDeadlineViolation):
-		rep.Violated++
-	default:
-		rep.Errors++
-	}
 }
 
 // Run is the one-call harness: build a server for the scenario, load its
@@ -660,7 +379,7 @@ type RunOptions struct {
 // tracking. The report stays deterministic for a fixed scenario: IDs are
 // minted sequentially on the single replay goroutine.
 func RunWithOptions(sc Scenario, opts RunOptions) (*Report, error) {
-	sc = sc.withDefaults()
+	sc = sc.WithDefaults()
 	if opts.Execute {
 		sc.Execute = true
 	}

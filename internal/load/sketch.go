@@ -3,6 +3,8 @@ package load
 import (
 	"math"
 	"sort"
+
+	"pimflow/internal/num"
 )
 
 // QuantileSketch is a deterministic KLL-style streaming quantile sketch:
@@ -203,7 +205,7 @@ func (st *streamStats) finish(rep *Report, batchSum, makespan int64) {
 		rep.MeanBatch = float64(batchSum) / float64(n)
 	}
 	rep.MakespanCycles = makespan
-	for _, cls := range sortedModels(st.classes) {
+	for _, cls := range num.SortedKeys(st.classes) {
 		s := st.classes[cls]
 		cs := rep.Classes[cls]
 		cs.P50 = s.Quantile(0.50)

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"pimflow/internal/num"
 )
 
 // Metrics is a thread-safe, nil-safe registry of named counters, gauges,
@@ -354,19 +356,19 @@ func (m *Metrics) WriteText(w io.Writer) error {
 			emit("# TYPE %s %s\n", name, kind)
 		}
 	}
-	for _, k := range sortedKeys(s.Counters) {
+	for _, k := range num.SortedKeys(s.Counters) {
 		base, labels := SplitLabeledKey(k)
 		name := metricName(base)
 		emitType(name, "counter")
 		emit("%s%s %d\n", name, labelBlock(labels), s.Counters[k])
 	}
-	for _, k := range sortedKeys(s.Gauges) {
+	for _, k := range num.SortedKeys(s.Gauges) {
 		base, labels := SplitLabeledKey(k)
 		name := metricName(base)
 		emitType(name, "gauge")
 		emit("%s%s %v\n", name, labelBlock(labels), s.Gauges[k])
 	}
-	for _, k := range sortedKeys(s.Histograms) {
+	for _, k := range num.SortedKeys(s.Histograms) {
 		h := s.Histograms[k]
 		base, labels := SplitLabeledKey(k)
 		name := metricName(base)
@@ -376,7 +378,7 @@ func (m *Metrics) WriteText(w io.Writer) error {
 			name, lb, h.Count, name, lb, h.Sum, name, lb, h.Min, name, lb, h.Max, name, lb, h.Mean)
 		emit("%s_p50%s %v\n%s_p99%s %v\n%s_p999%s %v\n",
 			name, lb, h.P50, name, lb, h.P99, name, lb, h.P999)
-		for _, le := range sortedKeys(h.Buckets) {
+		for _, le := range num.SortedKeys(h.Buckets) {
 			emit("%s_bucket%s %d", name, labelBlock(labels, [2]string{"le", le}), h.Buckets[le])
 			if ex := h.Exemplars[le]; ex != "" {
 				emit(" # exemplar=%q", ex)
@@ -411,16 +413,6 @@ func metricName(key string) string {
 		out = append(out, c)
 	}
 	return string(out)
-}
-
-// sortedKeys returns a map's keys in sorted order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // WriteJSON dumps the registry as indented JSON. Map keys are emitted in

@@ -15,6 +15,8 @@ package verify
 import (
 	"fmt"
 	"sort"
+
+	"pimflow/internal/num"
 )
 
 // Fleet-certificate rule IDs (Tier D).
@@ -142,19 +144,10 @@ func Fleet(c FleetCertificate) []Diagnostic {
 		diags = append(diags, checkGraph(g)...)
 	}
 	diags = append(diags, checkHops(c, machines, graphs)...)
-	for _, name := range sortedKeys(c.Schedules) {
+	for _, name := range num.SortedKeys(c.Schedules) {
 		diags = append(diags, Schedule(c.Schedules[name])...)
 	}
 	return diags
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // checkPlacements verifies the placement log: every placement names a
