@@ -66,19 +66,17 @@ func (c *Collector) Samples() int {
 // (nil err) counts as served, in its SLO class, and in the statistics;
 // an error counts as shed, rejected, violated, or an error.
 func (c *Collector) Record(rep *Report, resp *serve.InferResponse, err error) {
-	switch {
-	case err == nil:
-	case errors.Is(err, serve.ErrShed):
-		rep.Shed++
-		return
-	case errors.Is(err, serve.ErrQueueFull):
-		rep.Rejected++
-		return
-	case errors.Is(err, serve.ErrDeadlineViolation):
-		rep.Violated++
-		return
-	default:
-		rep.Errors++
+	if err != nil {
+		switch {
+		case errors.Is(err, serve.ErrShed):
+			rep.Shed++
+		case errors.Is(err, serve.ErrQueueFull):
+			rep.Rejected++
+		case errors.Is(err, serve.ErrDeadlineViolation):
+			rep.Violated++
+		default:
+			rep.Errors++
+		}
 		return
 	}
 	rep.Served++
