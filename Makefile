@@ -46,7 +46,7 @@ BENCH_JSON ?= BENCH_PR10.json
 BENCH_LABEL ?= after
 
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/pim ./internal/codegen ./internal/verify ./internal/serve ./internal/load | \
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/pim ./internal/codegen ./internal/verify ./internal/serve ./internal/load ./internal/obs | \
 		$(GO) run ./cmd/pimflow-bench -label $(BENCH_LABEL) -out $(BENCH_JSON)
 
 # Trace-driven serving scenarios (Poisson / diurnal / bursty) replayed

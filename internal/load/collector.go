@@ -41,7 +41,7 @@ func NewCollector(sc Scenario, requests int) *Collector {
 	if sc.StreamStats || requests >= AutoStreamRequests {
 		return &Collector{stream: newStreamStats(sc.SketchK)}
 	}
-	return &Collector{classLat: map[string][]int64{}}
+	return &Collector{recs: make([]latRec, 0, requests), classLat: map[string][]int64{}}
 }
 
 // Streaming reports whether the collector holds a bounded-memory sketch

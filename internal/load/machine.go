@@ -1,12 +1,12 @@
 package load
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
-	"pimflow/internal/num"
 	"pimflow/internal/serve"
 )
 
@@ -29,7 +29,13 @@ type Machine[C any] struct {
 	done       func(*Pending[C], *serve.InferResponse, error)
 	policies   map[string]modelPolicy
 	open       map[string]*openBatch[C] // per-model open batch
+	live       int                      // open, unshed requests across open
 	inFlight   endHeap                  // completion cycles of placed work
+
+	// Scratch reused by every shed decision.
+	models []string
+	ps     []*Pending[C]
+	cands  []serve.ShedCandidate
 }
 
 // Pending is one admitted, not-yet-flushed request in a Machine's
@@ -128,15 +134,8 @@ func (m *Machine[C]) Prune(now int64) {
 
 // Occupancy is the virtual queue depth: placed requests not yet pruned
 // plus open, unshed ones.
-//
-//pimflow:deterministic
 func (m *Machine[C]) Occupancy() int {
-	n := len(m.inFlight)
-	//lint:ignore LT-MAP-ORDER pure count; the sum is order-insensitive
-	for _, b := range m.open {
-		n += b.live()
-	}
-	return n
+	return len(m.inFlight) + m.live
 }
 
 func (b *openBatch[C]) live() int {
@@ -173,17 +172,19 @@ func (m *Machine[C]) Admit(model string, cycle int64, ctx C) error {
 			return nil
 		}
 		ps := m.openInOrder()
-		cands := make([]serve.ShedCandidate, 0, len(ps)+1)
+		cands := m.cands[:0]
 		for _, q := range ps {
 			cands = append(cands, serve.ShedCandidate{Deadline: q.deadline, Service: q.service})
 		}
 		cands = append(cands, serve.ShedCandidate{Deadline: p.deadline, Service: p.service})
+		m.cands = cands
 		v := serve.PickShedVictim(cands)
 		if v == len(ps) {
 			m.done(p, nil, serve.ErrShed) // the arrival itself was the most hopeless
 			return nil
 		}
 		ps[v].shed = true
+		m.live--
 		m.done(ps[v], nil, serve.ErrShed)
 	}
 	b := m.open[model]
@@ -195,6 +196,7 @@ func (m *Machine[C]) Admit(model string, cycle int64, ctx C) error {
 		m.open[model] = b
 	}
 	b.items = append(b.items, p)
+	m.live++
 	if b.live() >= pol.maxBatch || b.flushCycle == 0 {
 		return m.flush(model, b)
 	}
@@ -206,32 +208,41 @@ func (m *Machine[C]) Admit(model string, cycle int64, ctx C) error {
 // walks models in sorted order and the sort is stable, so requests
 // arriving on the same cycle from different models keep one fixed
 // order: an unstable sort over map-ordered candidates let equal-cycle
-// ties land on a different shed victim run to run.
+// ties land on a different shed victim run to run. The list lives in
+// the machine's scratch and is valid until the next call.
 func (m *Machine[C]) openInOrder() []*Pending[C] {
-	var ps []*Pending[C]
-	for _, model := range num.SortedKeys(m.open) {
+	m.models = m.models[:0]
+	//lint:ignore LT-MAP-ORDER the names are sorted before use
+	for model := range m.open {
+		m.models = append(m.models, model)
+	}
+	slices.Sort(m.models)
+	ps := m.ps[:0]
+	for _, model := range m.models {
 		for _, p := range m.open[model].items {
 			if !p.shed {
 				ps = append(ps, p)
 			}
 		}
 	}
-	sort.SliceStable(ps, func(i, j int) bool { return ps[i].Cycle < ps[j].Cycle })
+	slices.SortStableFunc(ps, func(a, b *Pending[C]) int { return cmp.Compare(a.Cycle, b.Cycle) })
+	m.ps = ps
 	return ps
 }
 
 // flushDue flushes, in deterministic (flushCycle, model) order, every
-// open batch whose virtual window the clock has passed. Models are
-// visited in sorted order and the minimum is strict, so ties resolve
-// by name without consulting map iteration order.
+// open batch whose virtual window the clock has passed. Each round
+// takes the strict minimum over (flushCycle, model), which does not
+// depend on map iteration order.
 func (m *Machine[C]) flushDue(now int64) error {
 	for {
 		var dueModel string
 		var due *openBatch[C]
-		for _, model := range num.SortedKeys(m.open) {
-			b := m.open[model]
+		//lint:ignore LT-MAP-ORDER strict (flushCycle, model) minimum; order-insensitive
+		for model, b := range m.open {
 			if b.flushCycle > 0 && now > b.flushCycle &&
-				(due == nil || b.flushCycle < due.flushCycle) {
+				(due == nil || b.flushCycle < due.flushCycle ||
+					b.flushCycle == due.flushCycle && model < dueModel) {
 				dueModel, due = model, b
 			}
 		}
@@ -249,6 +260,7 @@ func (m *Machine[C]) flushDue(now int64) error {
 // in-flight heap until their completion cycle.
 func (m *Machine[C]) flush(model string, b *openBatch[C]) error {
 	delete(m.open, model)
+	m.live -= b.live()
 	var batch []serve.InferRequest
 	for _, p := range b.items {
 		if !p.shed {
@@ -279,8 +291,8 @@ func (m *Machine[C]) flush(model string, b *openBatch[C]) error {
 
 // Drain flushes the machines' trailing batches once the trace is
 // exhausted: the earliest-headed open batch first, ties to the lower
-// machine index and then the model name (machines and sorted models
-// are visited in order and the minimum is strict). settle, when
+// machine index and then the model name (the strict minimum over
+// (head cycle, machine index, model)). settle, when
 // non-nil, runs before each flush; the fleet replay resumes its routes
 // there, which may open fresh batches.
 //
@@ -296,9 +308,10 @@ func Drain[C any](machines []*Machine[C], settle func() error) error {
 		var bestModel string
 		var head *openBatch[C]
 		for _, m := range machines {
-			for _, model := range num.SortedKeys(m.open) {
-				b := m.open[model]
-				if head == nil || b.items[0].Cycle < head.items[0].Cycle {
+			//lint:ignore LT-MAP-ORDER strict (head, machine, model) minimum; order-insensitive
+			for model, b := range m.open {
+				if head == nil || b.items[0].Cycle < head.items[0].Cycle ||
+					b.items[0].Cycle == head.items[0].Cycle && m == best && model < bestModel {
 					best, bestModel, head = m, model, b
 				}
 			}

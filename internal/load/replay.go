@@ -4,7 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,14 +123,7 @@ func percentile(sorted []int64, q float64) int64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	return sorted[rankIndex(len(sorted), q)]
 }
 
 // LoadModels loads every scenario model into the server's registry.
@@ -194,48 +188,70 @@ func certify(srv *serve.Server, rep *Report) error {
 	return nil
 }
 
-// attributedAt returns the stage split of the request at the q-quantile
-// rank of the sorted records (same nearest-rank convention as
-// percentile, so its LatencyCycles equals the reported percentile and
-// its stages sum to it exactly).
-func attributedAt(sorted []latRec, q float64) AttributedRequest {
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+// rankIndex is the nearest-rank index of the q-quantile among n sorted
+// values (n > 0), the convention percentile uses.
+func rankIndex(n int, q float64) int {
+	i := int(math.Ceil(q*float64(n))) - 1
 	if i < 0 {
 		i = 0
 	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
+	if i >= n {
+		i = n - 1
 	}
-	r := sorted[i]
+	return i
+}
+
+// attributedAt returns the stage split of the request at the q-quantile
+// rank of the records ordered by (latency, request ID), ties on both in
+// append order — the same nearest-rank convention as percentile, so its
+// LatencyCycles equals the reported percentile and its stages sum to it
+// exactly. sorted holds the records' latencies in ascending order; only
+// the records tied on the rank's latency are ordered, not all of them.
+func attributedAt(recs []latRec, sorted []int64, q float64) AttributedRequest {
+	i := rankIndex(len(sorted), q)
+	lat := sorted[i]
+	first, _ := slices.BinarySearch(sorted, lat)
+	var ties []latRec
+	for _, r := range recs {
+		if r.lat == lat {
+			ties = append(ties, r)
+		}
+	}
+	slices.SortStableFunc(ties, func(a, b latRec) int { return strings.Compare(a.id, b.id) })
+	r := ties[i-first]
 	return AttributedRequest{RequestID: r.id, Model: r.model, LatencyCycles: r.lat, Stages: r.stages}
+}
+
+// distribution summarizes sorted (ascending, non-empty) values.
+func distribution(sorted []int64) StageStats {
+	var sum int64
+	for _, v := range sorted {
+		sum += v
+	}
+	return StageStats{
+		P50:  percentile(sorted, 0.50),
+		P99:  percentile(sorted, 0.99),
+		P999: percentile(sorted, 0.999),
+		Max:  sorted[len(sorted)-1],
+		Mean: float64(sum) / float64(len(sorted)),
+	}
 }
 
 // stageStats computes each stage's independent distribution.
 //
 //pimflow:deterministic
 func stageStats(recs []latRec) map[string]StageStats {
-	cols := map[string][]int64{}
-	for _, r := range recs {
-		cols["queue"] = append(cols["queue"], r.stages.Queue)
-		cols["batch_window"] = append(cols["batch_window"], r.stages.BatchWait)
-		cols["lease_wait"] = append(cols["lease_wait"], r.stages.LeaseWait)
-		cols["execute"] = append(cols["execute"], r.stages.Execute)
+	var cols [4][]int64
+	for c := range cols {
+		cols[c] = make([]int64, len(recs))
+	}
+	for i, r := range recs {
+		cols[0][i], cols[1][i], cols[2][i], cols[3][i] = r.stages.Queue, r.stages.BatchWait, r.stages.LeaseWait, r.stages.Execute
 	}
 	out := make(map[string]StageStats, len(cols))
-	for _, name := range num.SortedKeys(cols) {
-		vals := cols[name]
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		var sum int64
-		for _, v := range vals {
-			sum += v
-		}
-		out[name] = StageStats{
-			P50:  percentile(vals, 0.50),
-			P99:  percentile(vals, 0.99),
-			P999: percentile(vals, 0.999),
-			Max:  vals[len(vals)-1],
-			Mean: float64(sum) / float64(len(vals)),
-		}
+	for c, name := range [...]string{"queue", "batch_window", "lease_wait", "execute"} {
+		slices.Sort(cols[c])
+		out[name] = distribution(cols[c])
 	}
 	return out
 }
@@ -245,40 +261,27 @@ func stageStats(recs []latRec) map[string]StageStats {
 //
 //pimflow:deterministic
 func finishReport(rep *Report, recs []latRec, classLat map[string][]int64, batchSum, makespan int64) {
-	// Ties break on request ID (deterministic in single-threaded replay),
-	// then stably on append order.
-	sort.SliceStable(recs, func(i, j int) bool {
-		if recs[i].lat != recs[j].lat {
-			return recs[i].lat < recs[j].lat
-		}
-		return recs[i].id < recs[j].id
-	})
 	lat := make([]int64, len(recs))
 	for i, r := range recs {
 		lat[i] = r.lat
 	}
-	rep.P50 = percentile(lat, 0.50)
-	rep.P99 = percentile(lat, 0.99)
-	rep.P999 = percentile(lat, 0.999)
+	slices.Sort(lat)
 	if n := len(recs); n > 0 {
-		rep.MaxLatency = lat[n-1]
-		var sum int64
-		for _, l := range lat {
-			sum += l
-		}
-		rep.MeanLatency = float64(sum) / float64(n)
+		all := distribution(lat)
+		rep.P50, rep.P99, rep.P999 = all.P50, all.P99, all.P999
+		rep.MaxLatency, rep.MeanLatency = all.Max, all.Mean
 		rep.MeanBatch = float64(batchSum) / float64(n)
 		rep.Stages = stageStats(recs)
 		rep.Attributed = &Attributed{
-			P50:  attributedAt(recs, 0.50),
-			P99:  attributedAt(recs, 0.99),
-			P999: attributedAt(recs, 0.999),
+			P50:  attributedAt(recs, lat, 0.50),
+			P99:  attributedAt(recs, lat, 0.99),
+			P999: attributedAt(recs, lat, 0.999),
 		}
 	}
 	rep.MakespanCycles = makespan
 	for _, cls := range num.SortedKeys(classLat) {
 		ls := classLat[cls]
-		sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+		slices.Sort(ls)
 		cs := rep.Classes[cls]
 		cs.P50 = percentile(ls, 0.50)
 		cs.P99 = percentile(ls, 0.99)

@@ -76,6 +76,20 @@ func (m *Metrics) Gauge(name string) float64 {
 	return m.gauges[name]
 }
 
+// Exponential bucket layout: a positive sample v lands in bucket k, the
+// smallest k with v <= 2^k (label "<=2^k"; fractions get negative k);
+// non-positive samples share one "<=0" bucket. Buckets bucketMin through
+// bucketMax — fractions down to 2^-64, magnitudes up to 2^63 — live in
+// fixed arrays, so recording into an existing series touches no map;
+// rarer buckets beyond them (subnormals, huge floats) keep their exact
+// labels in a map allocated on first use.
+const (
+	bucketMin   = -64
+	bucketMax   = 63
+	nonPositive = math.MinInt // bucketOf's index for v <= 0 (and NaN)
+	numSlots    = bucketMax - bucketMin + 2
+)
+
 // histData accumulates a histogram: summary statistics plus exponential
 // (power-of-two) buckets, which are cheap, deterministic, and enough to
 // see a distribution's shape in a JSON dump.
@@ -83,10 +97,20 @@ type histData struct {
 	count    int64
 	sum      float64
 	min, max float64
-	buckets  map[int]int64 // key: ceil(log2(v)); -1 holds v <= 0
-	// exemplars ties buckets back to concrete origins (request IDs): the
-	// most recent exemplar per bucket. nil until the first ObserveExemplar.
-	exemplars map[int]string
+	// counts[0] holds non-positive samples, counts[1+k-bucketMin] bucket
+	// k. exemplars ties buckets back to concrete origins (request IDs):
+	// the most recent exemplar per bucket, "" when none.
+	counts    [numSlots]int64
+	exemplars [numSlots]string
+	// wide holds the buckets outside [bucketMin, bucketMax].
+	wide map[int]bucket
+}
+
+// bucket is one non-empty histogram bucket: index, count, exemplar.
+type bucket struct {
+	k  int
+	n  int64
+	ex string
 }
 
 // Observe records one sample into the named histogram.
@@ -104,7 +128,7 @@ func (m *Metrics) ObserveExemplar(name string, v float64, exemplar string) {
 	m.mu.Lock()
 	h, ok := m.hists[name]
 	if !ok {
-		h = &histData{min: math.Inf(1), max: math.Inf(-1), buckets: map[int]int64{}}
+		h = &histData{min: math.Inf(1), max: math.Inf(-1)}
 		m.hists[name] = h
 	}
 	h.count++
@@ -115,41 +139,85 @@ func (m *Metrics) ObserveExemplar(name string, v float64, exemplar string) {
 	if v > h.max {
 		h.max = v
 	}
-	b := bucketOf(v)
-	h.buckets[b]++
-	if exemplar != "" {
-		if h.exemplars == nil {
-			h.exemplars = map[int]string{}
+	k := bucketOf(v)
+	if i, ok := slotOf(k); ok {
+		h.counts[i]++
+		if exemplar != "" {
+			h.exemplars[i] = exemplar
 		}
-		h.exemplars[b] = exemplar
+	} else {
+		if h.wide == nil {
+			h.wide = map[int]bucket{}
+		}
+		b := h.wide[k]
+		b.k = k
+		b.n++
+		if exemplar != "" {
+			b.ex = exemplar
+		}
+		h.wide[k] = b
 	}
 	m.mu.Unlock()
 }
 
 // bucketOf returns the exponential bucket index for a sample: the
-// smallest k with v <= 2^k, or -1 for non-positive samples.
+// smallest k with v <= 2^k, or nonPositive for v <= 0 (and NaN).
 func bucketOf(v float64) int {
-	if v <= 0 {
-		return -1
+	if !(v > 0) {
+		return nonPositive
 	}
 	return int(math.Ceil(math.Log2(v)))
 }
 
-// bucketLabel renders a bucket index as its exported upper-bound label.
-func bucketLabel(b int) string {
-	if b < 0 {
-		return "<=0"
+// slotOf maps a bucket index onto the fixed arrays; false means the
+// bucket lives in the wide map.
+func slotOf(k int) (int, bool) {
+	switch {
+	case k == nonPositive:
+		return 0, true
+	case k >= bucketMin && k <= bucketMax:
+		return 1 + k - bucketMin, true
 	}
-	return fmt.Sprintf("<=2^%d", b)
+	return 0, false
 }
 
-// quantile estimates the q-quantile from the exponential buckets:
-// nearest-rank bucket selection, then linear interpolation by rank
-// fraction inside the winning bucket (2^(k-1), 2^k], clamped to the
+// bucketLabel renders a bucket index as its exported upper-bound label.
+func bucketLabel(k int) string {
+	if k == nonPositive {
+		return "<=0"
+	}
+	return fmt.Sprintf("<=2^%d", k)
+}
+
+// buckets lists the non-empty buckets in ascending order.
+func (h *histData) buckets() []bucket {
+	var out []bucket
+	if h.counts[0] > 0 {
+		out = append(out, bucket{nonPositive, h.counts[0], h.exemplars[0]})
+	}
+	wide := make([]bucket, 0, len(h.wide))
+	for _, b := range h.wide {
+		wide = append(wide, b)
+	}
+	sort.Slice(wide, func(i, j int) bool { return wide[i].k < wide[j].k })
+	for len(wide) > 0 && wide[0].k < bucketMin {
+		out, wide = append(out, wide[0]), wide[1:]
+	}
+	for i := 1; i < numSlots; i++ {
+		if h.counts[i] > 0 {
+			out = append(out, bucket{bucketMin + i - 1, h.counts[i], h.exemplars[i]})
+		}
+	}
+	return append(out, wide...)
+}
+
+// quantile estimates the q-quantile from the ascending non-empty
+// buckets: nearest-rank bucket selection, then linear interpolation by
+// rank fraction inside the winning bucket (2^(k-1), 2^k], clamped to the
 // observed min/max. Power-of-two buckets bound the estimation error to
 // one octave, which is enough to rank tail buckets and pick exemplars;
 // exact percentiles come from the replay harness, which keeps samples.
-func (h *histData) quantile(q float64) float64 {
+func (h *histData) quantile(bs []bucket, q float64) float64 {
 	if h.count == 0 {
 		return 0
 	}
@@ -157,25 +225,19 @@ func (h *histData) quantile(q float64) float64 {
 	if rank < 1 {
 		rank = 1
 	}
-	keys := make([]int, 0, len(h.buckets))
-	for k := range h.buckets {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
 	var cum int64
-	for _, k := range keys {
-		n := h.buckets[k]
-		if cum+n < rank {
-			cum += n
+	for _, b := range bs {
+		if cum+b.n < rank {
+			cum += b.n
 			continue
 		}
-		if k < 0 {
+		if b.k == nonPositive {
 			// Non-positive samples share one unbounded-below bucket; the
 			// observed min is the only honest point estimate.
 			return h.min
 		}
-		lo, hi := math.Exp2(float64(k-1)), math.Exp2(float64(k))
-		v := lo + (hi-lo)*float64(rank-cum)/float64(n)
+		lo, hi := math.Exp2(float64(b.k-1)), math.Exp2(float64(b.k))
+		v := lo + (hi-lo)*float64(rank-cum)/float64(b.n)
 		if v < h.min {
 			v = h.min
 		}
@@ -199,7 +261,8 @@ type HistogramSnapshot struct {
 	P50  float64 `json:"p50,omitempty"`
 	P99  float64 `json:"p99,omitempty"`
 	P999 float64 `json:"p999,omitempty"`
-	// Buckets maps upper bounds ("<=2^k", or "<=0") to sample counts.
+	// Buckets maps upper bounds ("<=2^k", k negative for fractions, or
+	// "<=0") to sample counts; the counts sum to Count.
 	Buckets map[string]int64 `json:"buckets,omitempty"`
 	// Exemplars maps bucket upper bounds to the most recent exemplar
 	// recorded into that bucket (ObserveExemplar).
@@ -232,23 +295,24 @@ func (m *Metrics) Snapshot() Snapshot {
 		s.Gauges[k] = v
 	}
 	for k, h := range m.hists {
+		bs := h.buckets()
 		hs := HistogramSnapshot{
 			Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
-			Buckets: make(map[string]int64, len(h.buckets)),
+			Buckets: make(map[string]int64, len(bs)),
 		}
 		if h.count > 0 {
 			hs.Mean = h.sum / float64(h.count)
-			hs.P50 = h.quantile(0.50)
-			hs.P99 = h.quantile(0.99)
-			hs.P999 = h.quantile(0.999)
+			hs.P50 = h.quantile(bs, 0.50)
+			hs.P99 = h.quantile(bs, 0.99)
+			hs.P999 = h.quantile(bs, 0.999)
 		}
-		for b, n := range h.buckets {
-			hs.Buckets[bucketLabel(b)] = n
-		}
-		if len(h.exemplars) > 0 {
-			hs.Exemplars = make(map[string]string, len(h.exemplars))
-			for b, ex := range h.exemplars {
-				hs.Exemplars[bucketLabel(b)] = ex
+		for _, b := range bs {
+			hs.Buckets[bucketLabel(b.k)] = b.n
+			if b.ex != "" {
+				if hs.Exemplars == nil {
+					hs.Exemplars = map[string]string{}
+				}
+				hs.Exemplars[bucketLabel(b.k)] = b.ex
 			}
 		}
 		s.Histograms[k] = hs

@@ -58,12 +58,86 @@ func TestBucketOf(t *testing.T) {
 		v    float64
 		want int
 	}{
-		{0, -1}, {-3, -1}, {0.5, -1}, {1, 0}, {2, 1}, {3, 2}, {1024, 10}, {1025, 11},
+		{0, nonPositive}, {-3, nonPositive}, {math.NaN(), nonPositive},
+		{0.07, -3}, {0.2, -2}, {0.5, -1}, {1, 0}, {2, 1}, {3, 2}, {1024, 10}, {1025, 11},
 	}
 	for _, c := range cases {
 		if got := bucketOf(c.v); got != c.want {
 			t.Errorf("bucketOf(%v) = %d, want %d", c.v, got, c.want)
 		}
+	}
+}
+
+// TestFractionalBuckets pins the labels of samples in (0, 1): each power
+// of two below 1 is its own bucket, distinct from the non-positive one,
+// and the bucket counts sum to Count in every snapshot. (All of (0, 0.5]
+// used to share the "<=0" label, and Snapshot overwrote that entry in map
+// order, so its count changed from run to run.)
+func TestFractionalBuckets(t *testing.T) {
+	m := NewMetrics()
+	for _, v := range []float64{0.07, 0.07, 0.2, 0.4, 0.4, 0.4, 0, -1, 0.75} {
+		m.Observe("frac", v)
+	}
+	want := map[string]int64{"<=2^-3": 2, "<=2^-2": 1, "<=2^-1": 3, "<=2^0": 1, "<=0": 2}
+	for i := 0; i < 50; i++ {
+		h := m.Snapshot().Histograms["frac"]
+		var sum int64
+		for label, n := range h.Buckets {
+			sum += n
+			if want[label] != n {
+				t.Fatalf("snapshot %d: bucket %q = %d, want %d (%v)", i, label, n, want[label], h.Buckets)
+			}
+		}
+		if sum != h.Count || len(h.Buckets) != len(want) {
+			t.Fatalf("snapshot %d: buckets %v sum to %d, count %d", i, h.Buckets, sum, h.Count)
+		}
+	}
+}
+
+// TestWideBuckets covers the buckets beyond the fixed array range: they
+// keep their exact labels and order into the quantile estimate.
+func TestWideBuckets(t *testing.T) {
+	m := NewMetrics()
+	m.ObserveExemplar("w", 1e-30, "lo")
+	m.ObserveExemplar("w", 1e19, "hi")
+	m.Observe("w", 1e19)
+	m.Observe("w", 1e300)
+	h := m.Snapshot().Histograms["w"]
+	if h.Buckets["<=2^-99"] != 1 || h.Buckets["<=2^64"] != 2 || h.Buckets["<=2^997"] != 1 {
+		t.Fatalf("wide buckets %v", h.Buckets)
+	}
+	if h.Exemplars["<=2^-99"] != "lo" || h.Exemplars["<=2^64"] != "hi" {
+		t.Fatalf("wide exemplars %v", h.Exemplars)
+	}
+	if h.P50 <= math.Exp2(63) || h.P50 > math.Exp2(64) || h.P999 != 1e300 {
+		t.Fatalf("wide quantiles p50 %v p999 %v", h.P50, h.P999)
+	}
+}
+
+// TestObserveExemplarLabeledAllocFree pins recording into an existing
+// labeled series at zero allocations: the bucket arrays are fixed.
+func TestObserveExemplarLabeledAllocFree(t *testing.T) {
+	m := NewMetrics()
+	key := LabeledKey("serve.stage_cycles", "model", "mnv2-gold", "slo", "gold", "stage", "execute")
+	v := 1.0
+	m.ObserveExemplar(key, v, "r000001")
+	allocs := testing.AllocsPerRun(200, func() {
+		v *= 1.7
+		m.ObserveExemplar(key, v, "r000002")
+	})
+	if allocs != 0 {
+		t.Fatalf("labeled ObserveExemplar allocates %v per op, want 0", allocs)
+	}
+}
+
+// BenchmarkObserveExemplarLabeled is the per-sample cost of a labeled
+// histogram series with exemplars, as the request lifecycle records it.
+func BenchmarkObserveExemplarLabeled(b *testing.B) {
+	m := NewMetrics()
+	key := LabeledKey("serve.stage_cycles", "model", "mnv2-gold", "slo", "gold", "stage", "execute")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m.ObserveExemplar(key, float64(1+i%100_000), "r000001")
 	}
 }
 

@@ -3,7 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,23 +23,29 @@ const (
 	OutcomeError    = "error"    // any other failure
 )
 
-// outcomeOf folds a completion error into its outcome label.
-func outcomeOf(err error) string {
+// outcomes lists the outcome labels; outcomeOf indexes into it.
+var outcomes = [...]string{
+	OutcomeServed, OutcomeShed, OutcomeRejected, OutcomeViolated,
+	OutcomeCanceled, OutcomeDraining, OutcomeError,
+}
+
+// outcomeOf folds a completion error into its index in outcomes.
+func outcomeOf(err error) int {
 	switch {
 	case err == nil:
-		return OutcomeServed
+		return 0
 	case errors.Is(err, ErrShed):
-		return OutcomeShed
+		return 1
 	case errors.Is(err, ErrQueueFull):
-		return OutcomeRejected
+		return 2
 	case errors.Is(err, ErrDeadlineViolation):
-		return OutcomeViolated
+		return 3
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return OutcomeCanceled
+		return 4
 	case errors.Is(err, ErrDraining):
-		return OutcomeDraining
+		return 5
 	default:
-		return OutcomeError
+		return 6
 	}
 }
 
@@ -68,21 +74,31 @@ func (s StageCycles) Total() int64 {
 }
 
 // stageNames orders the stages for exposition and attribution reports.
-var stageNames = []string{"queue", "batch_window", "lease_wait", "execute"}
+var stageNames = [...]string{"queue", "batch_window", "lease_wait", "execute"}
 
-// byName returns the named stage's cycles.
-func (s StageCycles) byName(name string) int64 {
-	switch name {
-	case "queue":
-		return s.Queue
-	case "batch_window":
-		return s.BatchWait
-	case "lease_wait":
-		return s.LeaseWait
-	case "execute":
-		return s.Execute
+// byIndex returns the cycles of stageNames[i].
+func (s StageCycles) byIndex(i int) int64 {
+	return [...]int64{s.Queue, s.BatchWait, s.LeaseWait, s.Execute}[i]
+}
+
+// lifecycleKeys are one (model, SLO class)'s lifecycle metric keys,
+// built once when the model is loaded so that completing a request
+// builds no strings.
+type lifecycleKeys struct {
+	outcome [len(outcomes)]string   // serve.outcome{model,outcome}
+	stage   [len(stageNames)]string // serve.stage_cycles{model,slo,stage}
+	request string                  // serve.request_cycles{model,slo}
+}
+
+func newLifecycleKeys(model, slo string) *lifecycleKeys {
+	k := &lifecycleKeys{request: obs.LabeledKey("serve.request_cycles", "model", model, "slo", slo)}
+	for i, o := range outcomes {
+		k.outcome[i] = obs.LabeledKey("serve.outcome", "model", model, "outcome", o)
 	}
-	return 0
+	for i, st := range stageNames {
+		k.stage[i] = obs.LabeledKey("serve.stage_cycles", "model", model, "slo", slo, "stage", st)
+	}
+	return k
 }
 
 // StageWall is the wall-clock side of the same journey, in microseconds:
@@ -143,13 +159,25 @@ func newLifecycle(n int, metrics *obs.Metrics, trace *obs.Trace) *Lifecycle {
 	return &Lifecycle{metrics: metrics, trace: trace, buf: make([]RequestSpan, 0, n)}
 }
 
-// nextID mints a request ID. IDs are sequential per server, so a
-// single-threaded replay mints a deterministic sequence.
+// nextID mints a request ID, "r" plus the sequence number zero-padded
+// to six digits. IDs are sequential per server, so a single-threaded
+// replay mints a deterministic sequence.
 func (l *Lifecycle) nextID() string {
 	if l == nil {
 		return ""
 	}
-	return fmt.Sprintf("r%06d", l.ids.Add(1))
+	return requestID(l.ids.Add(1))
+}
+
+// requestID formats n as fmt.Sprintf("r%06d", n) does.
+func requestID(n uint64) string {
+	var digits, id [24]byte
+	d := strconv.AppendUint(digits[:0], n, 10)
+	b := append(id[:0], 'r')
+	for i := len(d); i < 6; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
 }
 
 // Total returns the number of spans ever recorded (the ring keeps only
@@ -175,9 +203,10 @@ func (l *Lifecycle) complete(it *item, resp *InferResponse, err error) {
 		ID:           it.id,
 		Model:        it.req.Model,
 		SLO:          it.sloName,
-		Outcome:      outcomeOf(err),
 		ArrivalCycle: it.arrival,
 	}
+	outcome := outcomeOf(err)
+	sp.Outcome = outcomes[outcome]
 	if err != nil {
 		sp.Error = err.Error()
 	}
@@ -208,28 +237,33 @@ func (l *Lifecycle) complete(it *item, resp *InferResponse, err error) {
 		}
 	}
 
-	l.metrics.Inc(obs.LabeledKey("serve.outcome", "model", sp.Model, "outcome", sp.Outcome))
+	keys := it.keys
+	if keys == nil {
+		keys = newLifecycleKeys(sp.Model, sp.SLO)
+	}
+	//lint:ignore LT-METRIC-KEY built by newLifecycleKeys from constant names
+	l.metrics.Inc(keys.outcome[outcome])
 	if resp != nil {
-		for _, st := range stageNames {
-			l.metrics.ObserveExemplar(
-				obs.LabeledKey("serve.stage_cycles", "model", sp.Model, "slo", sp.SLO, "stage", st),
-				float64(sp.Stages.byName(st)), sp.ID)
+		for i := range stageNames {
+			//lint:ignore LT-METRIC-KEY built by newLifecycleKeys from constant names
+			l.metrics.ObserveExemplar(keys.stage[i], float64(sp.Stages.byIndex(i)), sp.ID)
 		}
-		l.metrics.ObserveExemplar(
-			obs.LabeledKey("serve.request_cycles", "model", sp.Model, "slo", sp.SLO),
-			float64(sp.LatencyCycles), sp.ID)
-		batchArrival := sp.ArrivalCycle + sp.Stages.BatchWait
-		l.trace.RequestLaneCycles(sp.ID+" "+sp.Model, "serve.request",
-			sp.ArrivalCycle, sp.EndCycle,
-			[]obs.LaneStage{
-				{Name: "batch_window", Start: sp.ArrivalCycle, End: batchArrival},
-				{Name: "lease_wait", Start: batchArrival, End: sp.StartCycle},
-				{Name: "execute", Start: sp.StartCycle, End: sp.EndCycle},
-			},
-			map[string]any{
-				"id": sp.ID, "model": sp.Model, "slo": sp.SLO,
-				"batchSize": sp.BatchSize, "sloMiss": sp.SLOMiss,
-			})
+		//lint:ignore LT-METRIC-KEY built by newLifecycleKeys from constant names
+		l.metrics.ObserveExemplar(keys.request, float64(sp.LatencyCycles), sp.ID)
+		if l.trace.Enabled() {
+			batchArrival := sp.ArrivalCycle + sp.Stages.BatchWait
+			l.trace.RequestLaneCycles(sp.ID+" "+sp.Model, "serve.request",
+				sp.ArrivalCycle, sp.EndCycle,
+				[]obs.LaneStage{
+					{Name: "batch_window", Start: sp.ArrivalCycle, End: batchArrival},
+					{Name: "lease_wait", Start: batchArrival, End: sp.StartCycle},
+					{Name: "execute", Start: sp.StartCycle, End: sp.EndCycle},
+				},
+				map[string]any{
+					"id": sp.ID, "model": sp.Model, "slo": sp.SLO,
+					"batchSize": sp.BatchSize, "sloMiss": sp.SLOMiss,
+				})
+		}
 	}
 
 	l.mu.Lock()

@@ -3,6 +3,9 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -376,6 +379,53 @@ func TestFinishOffPathAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("off-path finish allocates %v per op, want 0", allocs)
+	}
+}
+
+// TestFinishServedPathAllocFree extends the pin to the request-log-on
+// path: a served completion with metrics on and no trace records its
+// ring span, outcome counter and labeled histograms (series existing)
+// without allocating.
+func TestFinishServedPathAllocFree(t *testing.T) {
+	lc := newLifecycle(8, obs.NewMetrics(), nil)
+	it := &item{
+		req: InferRequest{Model: "toy-a"}, reply: make(chan result, 1),
+		id: "r000001", sloName: "gold", keys: newLifecycleKeys("toy-a", "gold"), lc: lc,
+	}
+	resp := &InferResponse{
+		Model: "toy-a", ArrivalCycle: 100, StartCycle: 400, EndCycle: 1000, LatencyCycles: 900,
+		BatchWaitCycles: 100, LeaseWaitCycles: 200, ExecuteCycles: 600, BatchSize: 2,
+	}
+	it.finish(resp, nil) // creates the series
+	<-it.reply
+	allocs := testing.AllocsPerRun(200, func() {
+		it.finish(resp, nil)
+		<-it.reply
+	})
+	if allocs != 0 {
+		t.Fatalf("served finish with metrics on allocates %v per op, want 0", allocs)
+	}
+	if got := lc.metrics.Counter(obs.LabeledKey("serve.outcome", "model", "toy-a", "outcome", OutcomeServed)); got != 202 {
+		t.Fatalf("served outcome counter = %d, want 202", got)
+	}
+}
+
+// TestRequestIDFormat pins the strconv ID formatting to the Sprintf
+// format it replaced, across the six-digit padding boundary.
+func TestRequestIDFormat(t *testing.T) {
+	ns := []uint64{0, 1, 9, 10, 99999, 999999, 1000000, 1234567, math.MaxUint64}
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 1000; i++ {
+		ns = append(ns, uint64(rng.Int63n(int64(1)<<uint(rng.Intn(48)+1))))
+	}
+	for _, n := range ns {
+		if got, want := requestID(n), fmt.Sprintf("r%06d", n); got != want {
+			t.Fatalf("requestID(%d) = %q, want %q", n, got, want)
+		}
+	}
+	lc := newLifecycle(1, nil, nil)
+	if a, b := lc.nextID(), lc.nextID(); a != "r000001" || b != "r000002" {
+		t.Fatalf("nextID sequence %q %q", a, b)
 	}
 }
 

@@ -83,10 +83,12 @@ type item struct {
 	flush bool
 
 	// Lifecycle tracking (all zero when Config.RequestLog is off): the
-	// request ID, the model's SLO class name, the dispatcher-pop and
-	// batch-flush wall stamps, and the server's tracker.
+	// request ID, the model's SLO class name and lifecycle metric keys,
+	// the dispatcher-pop and batch-flush wall stamps, and the server's
+	// tracker.
 	id      string
 	sloName string
+	keys    *lifecycleKeys
 	popped  time.Time
 	flushed time.Time
 	lc      *Lifecycle

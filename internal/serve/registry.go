@@ -77,7 +77,8 @@ type LoadedModel struct {
 	SLO       SLOClass
 	SLOTarget int64
 
-	rt runtime.Config
+	rt   runtime.Config
+	keys *lifecycleKeys // lifecycle metric keys for (Spec.Name, SLO.Name)
 }
 
 // ModelInfo is the List entry for one loaded model.
@@ -320,7 +321,7 @@ func (r *Registry) compileInner(spec ModelSpec) (*LoadedModel, error) {
 		Graph: compiled, Plan: plan, Solo: solo,
 		Demand: demand, InitInterval: ii,
 		Batch: batch, SLO: slo, SLOTarget: slo.Target(solo.DurationCycles()),
-		rt: rt,
+		rt: rt, keys: newLifecycleKeys(spec.Name, slo.Name),
 	}, nil
 }
 

@@ -263,6 +263,7 @@ func (s *Server) Submit(ctx context.Context, req InferRequest) (*Pending, error)
 	if s.lifecycle != nil {
 		it.id = s.lifecycle.nextID()
 		it.sloName = lm.SLO.Name
+		it.keys = lm.keys
 		it.lc = s.lifecycle
 	}
 	if err := s.queue.push(it); err != nil {
@@ -382,6 +383,7 @@ func (s *Server) InferBatch(ctx context.Context, reqs []InferRequest, opts Batch
 		if s.lifecycle != nil {
 			items[i].id = s.lifecycle.nextID()
 			items[i].sloName = lm.SLO.Name
+			items[i].keys = lm.keys
 			items[i].lc = s.lifecycle
 		}
 	}
