@@ -23,29 +23,47 @@ const (
 	OutcomeError    = "error"    // any other failure
 )
 
-// outcomes lists the outcome labels; outcomeOf indexes into it.
-var outcomes = [...]string{
-	OutcomeServed, OutcomeShed, OutcomeRejected, OutcomeViolated,
-	OutcomeCanceled, OutcomeDraining, OutcomeError,
+// Outcome indices: outcomeOf returns one, and each names its label in
+// outcomes and its counter key in lifecycleKeys.outcome.
+const (
+	outServed = iota
+	outShed
+	outRejected
+	outViolated
+	outCanceled
+	outDraining
+	outError
+	numOutcomes
+)
+
+// outcomes holds the outcome label at each outcome index.
+var outcomes = [numOutcomes]string{
+	outServed:   OutcomeServed,
+	outShed:     OutcomeShed,
+	outRejected: OutcomeRejected,
+	outViolated: OutcomeViolated,
+	outCanceled: OutcomeCanceled,
+	outDraining: OutcomeDraining,
+	outError:    OutcomeError,
 }
 
-// outcomeOf folds a completion error into its index in outcomes.
+// outcomeOf folds a completion error into its outcome index.
 func outcomeOf(err error) int {
 	switch {
 	case err == nil:
-		return 0
+		return outServed
 	case errors.Is(err, ErrShed):
-		return 1
+		return outShed
 	case errors.Is(err, ErrQueueFull):
-		return 2
+		return outRejected
 	case errors.Is(err, ErrDeadlineViolation):
-		return 3
+		return outViolated
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return 4
+		return outCanceled
 	case errors.Is(err, ErrDraining):
-		return 5
+		return outDraining
 	default:
-		return 6
+		return outError
 	}
 }
 
@@ -82,10 +100,11 @@ func (s StageCycles) byIndex(i int) int64 {
 }
 
 // lifecycleKeys are one (model, SLO class)'s lifecycle metric keys,
-// built once when the model is loaded so that completing a request
-// builds no strings.
+// built once when the model is compiled so that completing a request
+// builds no strings. TestLifecycleKeysLabels checks their names and
+// label names, which LT-METRIC-KEY cannot see at the metric calls.
 type lifecycleKeys struct {
-	outcome [len(outcomes)]string   // serve.outcome{model,outcome}
+	outcome [numOutcomes]string     // serve.outcome{model,outcome}
 	stage   [len(stageNames)]string // serve.stage_cycles{model,slo,stage}
 	request string                  // serve.request_cycles{model,slo}
 }
@@ -238,9 +257,6 @@ func (l *Lifecycle) complete(it *item, resp *InferResponse, err error) {
 	}
 
 	keys := it.keys
-	if keys == nil {
-		keys = newLifecycleKeys(sp.Model, sp.SLO)
-	}
 	//lint:ignore LT-METRIC-KEY built by newLifecycleKeys from constant names
 	l.metrics.Inc(keys.outcome[outcome])
 	if resp != nil {

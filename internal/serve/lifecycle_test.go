@@ -429,6 +429,65 @@ func TestRequestIDFormat(t *testing.T) {
 	}
 }
 
+// TestOutcomeOfLabels pins each completion error, bare and wrapped, to
+// its outcome label: the index outcomeOf returns selects both the span's
+// Outcome and the serve.outcome counter key.
+func TestOutcomeOfLabels(t *testing.T) {
+	cases := []struct {
+		err  error
+		want string
+	}{
+		{nil, OutcomeServed},
+		{ErrShed, OutcomeShed},
+		{ErrQueueFull, OutcomeRejected},
+		{ErrDeadlineViolation, OutcomeViolated},
+		{context.Canceled, OutcomeCanceled},
+		{context.DeadlineExceeded, OutcomeCanceled},
+		{ErrDraining, OutcomeDraining},
+		{fmt.Errorf("boom"), OutcomeError},
+	}
+	for _, c := range cases {
+		if got := outcomes[outcomeOf(c.err)]; got != c.want {
+			t.Errorf("outcome of %v = %q, want %q", c.err, got, c.want)
+		}
+		if c.err == nil {
+			continue
+		}
+		if got := outcomes[outcomeOf(fmt.Errorf("wrapped: %w", c.err))]; got != c.want {
+			t.Errorf("outcome of wrapped %v = %q, want %q", c.err, got, c.want)
+		}
+	}
+	keys := newLifecycleKeys("toy-a", "gold")
+	for i, o := range outcomes {
+		if want := obs.LabeledKey("serve.outcome", "model", "toy-a", "outcome", o); keys.outcome[i] != want {
+			t.Errorf("outcome key %d = %q, want %q", i, keys.outcome[i], want)
+		}
+	}
+}
+
+// TestLifecycleKeysLabels checks that every prebuilt lifecycle key
+// splits into its constant metric name and label names. The metric
+// calls in Lifecycle.complete take these keys from fields, out of
+// LT-METRIC-KEY's sight, so this test keeps the label set bounded.
+func TestLifecycleKeysLabels(t *testing.T) {
+	keys := newLifecycleKeys("toy-a", "gold")
+	check := func(key, base string, labels ...[2]string) {
+		t.Helper()
+		gotBase, gotLabels := obs.SplitLabeledKey(key)
+		if gotBase != base || fmt.Sprint(gotLabels) != fmt.Sprint(labels) {
+			t.Errorf("key %q splits into %q %v, want %q %v", key, gotBase, gotLabels, base, labels)
+		}
+	}
+	for i, o := range outcomes {
+		check(keys.outcome[i], "serve.outcome", [2]string{"model", "toy-a"}, [2]string{"outcome", o})
+	}
+	for i, st := range stageNames {
+		check(keys.stage[i], "serve.stage_cycles",
+			[2]string{"model", "toy-a"}, [2]string{"slo", "gold"}, [2]string{"stage", st})
+	}
+	check(keys.request, "serve.request_cycles", [2]string{"model", "toy-a"}, [2]string{"slo", "gold"})
+}
+
 // BenchmarkFinishRequestLogOff is the off-path cost of the lifecycle
 // hook: a nil check on top of the reply-channel send.
 func BenchmarkFinishRequestLogOff(b *testing.B) {

@@ -77,8 +77,11 @@ type LoadedModel struct {
 	SLO       SLOClass
 	SLOTarget int64
 
-	rt   runtime.Config
-	keys *lifecycleKeys // lifecycle metric keys for (Spec.Name, SLO.Name)
+	rt runtime.Config
+	// keys are the lifecycle metric keys for (Spec.Name, SLO.Name). Like
+	// rt they are set by the compile step, the only maker of a
+	// LoadedModel, and read by every request the model serves.
+	keys *lifecycleKeys
 }
 
 // ModelInfo is the List entry for one loaded model.
